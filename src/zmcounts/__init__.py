@@ -14,6 +14,7 @@ from .diagnostics import (
     ljung_box,
     pearson_residuals,
     sample_acf_pacf,
+    truncated_residuals,
 )
 from .errors import (
     EstimationError,

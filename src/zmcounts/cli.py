@@ -30,7 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ProbTable, ljung_box, pearson_residuals, sample_acf_pacf
+from .diagnostics import (
+    ProbTable,
+    ljung_box,
+    pearson_residuals,
+    sample_acf_pacf,
+    truncated_residuals,
+)
 from .errors import (
     EstimationError,
     InfeasibleInitError,
@@ -169,7 +175,10 @@ def cmd_diagnose(args) -> int:
     max_lag = int(cfg.get("max_lag", 20))
     out = _outdir(args)
     filt = gkf_filter(y, spec)
-    residuals = pearson_residuals(y, filt.lambda_filtered, spec.params, spec.family)
+    if spec.params.omega < 0.0:
+        residuals = truncated_residuals(y, filt.lambda_filtered, spec.params, spec.family)
+    else:
+        residuals = pearson_residuals(y, filt.lambda_filtered, spec.params, spec.family)
     io.write_residuals_csv(out / "residuals.csv", residuals)
     acf, pacf = sample_acf_pacf(residuals, max_lag)
     io.write_acf_pacf_csv(out / "acf_pacf.csv", acf, pacf)
@@ -188,7 +197,7 @@ def cmd_diagnose(args) -> int:
         )
         + "\n"
     )
-    table = ProbTable.build(spec, y, rng=np.random.default_rng(int(cfg.get("seed", 0))))
+    table = ProbTable.build(spec, y)
     io.write_probtable_csv(out / "probtable.csv", table)
     io.write_metadata(out / "metadata.json", "diagnose", cfg, cfg.get("seed"))
     print(f"Ljung-Box(residuals, {max_lag}): Q={stat:.4f} p={pval:.4f}")

@@ -1,5 +1,8 @@
 """Model-adequacy tooling: Pearson residuals, portmanteau tests, marginal fit.
 
+The marginal probabilities are exact sums or quadratures, never sampled, so
+every table is deterministic.
+
 All functions are pure; nothing here mutates its inputs.
 """
 
@@ -9,16 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import chi2, nbinom, poisson
+from scipy.stats import chi2
 
 from .errors import EstimationError, InvalidSpecError
-from .intensity import IntensityFamily
 from .observation import (
+    _MAX_CLIP_LAMBDA,
     CountFamily,
     ModelSpec,
     Params,
+    _clip_top,
+    _quadrature_marginal_cdf,
+    _zmp_clip_terms,
     as_count_series,
     conditional_moments,
+    truncated_moments,
 )
 
 
@@ -44,6 +51,18 @@ def pearson_residuals(
             f"non-positive residual variance at t={int(bad[0])} "
             f"(lambda={lam[bad[0]]:.6g}, omega={params.omega:.6g})"
         )
+    return (y - mean) / np.sqrt(var)
+
+
+def truncated_residuals(
+    series, filtered, params: Params, family: CountFamily = CountFamily.ZMP
+) -> np.ndarray:
+    """Standardized one-step residuals under the law that the sampler draws
+    with ``on_infeasible="truncate"`` (:func:`truncated_moments`), for
+    deflated models: finite where a negative omega is infeasible and
+    :func:`pearson_residuals` raises."""
+    y = as_count_series(series).astype(float)
+    mean, var = truncated_moments(family, filtered, params)
     return (y - mean) / np.sqrt(var)
 
 
@@ -94,43 +113,26 @@ def ljung_box(series, max_lag: int) -> tuple[float, float]:
     return float(q), float(chi2.sf(q, df=max_lag))
 
 
-def _modified_cdf_marginal(spec: ModelSpec, kmax: int, draws: int, rng) -> np.ndarray:
-    """Monte-Carlo marginalization of the zero-modified law over the intensity
-    marginal, via clipped modified CDFs (exact for feasible omega and equal to
-    the sampler's boundary behaviour otherwise)."""
-    pp = spec.params
-    lam = rng.gamma(spec.intensity.p, 1.0 / spec.intensity.beta, draws)
-    w = pp.omega
-    cdf_prev = np.zeros(draws)
-    out = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        if spec.family == CountFamily.ZMP:
-            base = poisson.cdf(k, lam)
-        else:
-            r = lam ** (1 - pp.c) / pp.a
-            base = nbinom.cdf(k, r, 1.0 / (1.0 + pp.a * lam**pp.c))
-        cdf_k = np.clip(w + (1.0 - w) * base, 0.0, 1.0)
-        out[k] = float(np.mean(cdf_k - cdf_prev))
-        cdf_prev = cdf_k
-    return out
+def fitted_marginal_probs(spec: ModelSpec, kmax: int) -> np.ndarray:
+    """Marginal P(Y=k) for k=0..kmax of the law the sampler draws, averaged
+    over the stationary gamma intensity law; deterministic.
 
-
-def fitted_marginal_probs(
-    spec: ModelSpec,
-    kmax: int,
-    mc_draws: int = 1_000_000,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Marginal P(Y=k) for k=0..kmax under the fitted model.
-
-    The Poisson/gamma pair admits a closed form (a negative-binomial mixture
-    with a zero-modification atom); every other combination is marginalized by
-    Monte Carlo over the stationary intensity law.
+    The sampler inverts the clipped CDF max(0, g_k), g_k = omega +
+    (1-omega)*F(k|lambda), which is g_k itself unless omega < 0.  For ZMP the
+    average of g_k is a negative-binomial mixture with a zero-modification
+    atom (exact for both intensity families, whose marginals are gamma), and
+    the clip adds -E[min(0, g_k)], in closed form for intensity laws within
+    lambda = 256.  ZMNB and wider ZMP laws are averaged by Gauss rules
+    (:func:`observation._quadrature_marginal_cdf`): against adaptive
+    quadrature about 1e-9 for omega >= 0 and 1e-5 for omega < 0 while the
+    intensity scale 1/beta is a few units; the error grows on wider laws
+    (2.5e-4 at beta = 0.05, p = 1, ZMNB c = 1).
     """
     pp = spec.params
-    if spec.family == CountFamily.ZMP and spec.intensity.family == IntensityFamily.GAR1:
-        k = np.arange(kmax + 1)
-        b, p, w = pp.beta, pp.p, pp.omega
+    b, p, w = pp.beta, pp.p, pp.omega
+    top = _clip_top(b, p)
+    if spec.family == CountFamily.ZMP and (w >= 0.0 or top <= _MAX_CLIP_LAMBDA):
+        k = np.arange(kmax + 1.0)
         log_base = (
             p * np.log(b)
             + gammaln(p + k)
@@ -140,9 +142,14 @@ def fitted_marginal_probs(
         )
         probs = (1.0 - w) * np.exp(log_base)
         probs[0] += w
+        if w < 0.0:
+            e0 = _zmp_clip_terms(w, b, p, top)[0, : kmax + 1]
+            clip = np.pad(e0, (0, kmax + 1 - len(e0)))
+            probs = np.maximum(probs - np.diff(clip, prepend=0.0), 0.0)
         return probs
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return _modified_cdf_marginal(spec, kmax, mc_draws, rng)
+    cdf = _quadrature_marginal_cdf(spec.family, w, b, p, pp.a, pp.c, np.arange(kmax + 1.0))
+    # rounding and the rules' error can leave far-tail increments below zero
+    return np.maximum(np.diff(cdf, prepend=0.0), 0.0)
 
 
 def empirical_probs(series, kmax: int) -> np.ndarray:
@@ -162,17 +169,10 @@ class ProbTable:
     fitted_tail: float
 
     @classmethod
-    def build(
-        cls,
-        spec: ModelSpec,
-        series,
-        kmax: int | None = None,
-        mc_draws: int = 1_000_000,
-        rng: np.random.Generator | None = None,
-    ) -> "ProbTable":
+    def build(cls, spec: ModelSpec, series, kmax: int | None = None) -> "ProbTable":
         y = as_count_series(series)
         kmax = int(y.max()) if kmax is None else kmax
-        fitted = fitted_marginal_probs(spec, kmax, mc_draws=mc_draws, rng=rng)
+        fitted = fitted_marginal_probs(spec, kmax)
         return cls(
             support=np.arange(kmax + 1),
             fitted=fitted,

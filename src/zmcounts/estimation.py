@@ -41,7 +41,6 @@ from .observation import (
     feasible_omega_interval,
     marginal_zero_prob,
     observation_coefficients,
-    truncated_moments,
     vbar_from,
     zm_quadratic_variance,
     zmp_zero_mass_omega,
@@ -710,7 +709,7 @@ def solve_ef_block(
     the families and the dispersion form index; its parameter values serve as
     the starting point unless ``init`` is given.
     """
-    from .diagnostics import pearson_residuals
+    from .diagnostics import pearson_residuals, truncated_residuals
 
     y = as_count_series(series)
     yf = y.astype(float)
@@ -769,9 +768,7 @@ def solve_ef_block(
         else math.inf
     )
     if cur.omega < 0.0:
-        # standardized by the law the sampler draws where omega is infeasible
-        mean, var = truncated_moments(family, filt.lambda_filtered, cur)
-        residuals = (yf - mean) / np.sqrt(var)
+        residuals = truncated_residuals(y, filt.lambda_filtered, cur, family)
     else:
         residuals = pearson_residuals(y, filt.lambda_filtered, cur, family)
     return FitResult(

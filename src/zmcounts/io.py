@@ -15,40 +15,46 @@ import numpy as np
 
 from .errors import InvalidSpecError
 
-FLOAT_FMT = "%.17g"
+# characters of a line that holds only blank cells
+_BLANK = ' \t",'
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return FLOAT_FMT % float(x)
+def _write_csv(path, header, fmt, *columns) -> None:
+    """Write the header and one ``fmt`` line per row of the columns with a
+    single write.  Lines end in "\r\n" and no field is quoted, so the bytes
+    are those that ``csv.writer`` writes for these fields."""
+    line = fmt + "\r\n"
+    rows = zip(*[np.asarray(col).tolist() for col in columns])
+    text = ",".join(header) + "\r\n" + "".join([line % row for row in rows])
+    Path(path).write_text(text, newline="")
 
 
 def read_counts_csv(path, column=None) -> np.ndarray:
     """Read one integer count column from a CSV with or without a header.
 
-    ``column`` selects by header name or zero-based index; the default is a
-    column named ``y`` when a header is present, else the last column.
+    ``column`` selects by header name or zero-based index (negative counts
+    from the end); the default is a column named ``y`` when a header is
+    present, else the last column.  Blank lines are skipped, cells may be
+    quoted, and any parse failure raises :class:`InvalidSpecError`.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if not rows:
+    lines = [line for line in path.read_text().splitlines() if line.strip(_BLANK)]
+    if not lines:
         raise InvalidSpecError(f"no data in {path}")
     header = None
-    first = rows[0]
+    first = next(csv.reader(lines[:1]))
     try:
         [float(cell) for cell in first]
     except ValueError:
         header = [cell.strip() for cell in first]
-        rows = rows[1:]
-    if not rows:
+        lines = lines[1:]
+    if not lines:
         raise InvalidSpecError(f"no data rows in {path}")
     if column is None:
         if header and "y" in header:
             idx = header.index("y")
         else:
-            idx = len(rows[0]) - 1
+            idx = len(next(csv.reader(lines[:1]))) - 1
     elif isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
         idx = int(column)
     else:
@@ -56,94 +62,63 @@ def read_counts_csv(path, column=None) -> np.ndarray:
             raise InvalidSpecError(f"column {column!r} not found in {path}")
         idx = header.index(column)
     try:
-        values = [float(row[idx]) for row in rows]
-    except (IndexError, ValueError) as err:
+        arr = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, usecols=idx, ndmin=1)
+    except ValueError as err:
         raise InvalidSpecError(f"cannot parse counts from {path}: {err}") from err
-    arr = np.asarray(values)
-    if np.any(arr < 0) or np.any(arr != np.round(arr)):
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0) or np.any(arr != np.round(arr)):
         raise InvalidSpecError(f"column {idx} of {path} is not a non-negative integer series")
     return arr.astype(np.int64)
 
 
 def write_counts_csv(path, counts, intensities=None) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if intensities is None:
-            writer.writerow(["t", "y"])
-            for t, y in enumerate(counts):
-                writer.writerow([t, int(y)])
-        else:
-            writer.writerow(["t", "y", "lambda"])
-            for t, (y, lam) in enumerate(zip(counts, intensities)):
-                writer.writerow([t, int(y), _fmt(lam)])
+    t = range(len(counts))
+    if intensities is None:
+        _write_csv(path, ["t", "y"], "%d,%d", t, counts)
+    else:
+        _write_csv(path, ["t", "y", "lambda"], "%d,%d,%.17g", t, counts, intensities)
 
 
 def write_filtered_csv(path, counts, result) -> None:
     """Columns: t, y, lambda_filtered, error_var, innovation."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y", "lambda_filtered", "error_var", "innovation"])
-        for t in range(len(result)):
-            writer.writerow(
-                [
-                    t,
-                    int(counts[t]),
-                    _fmt(result.lambda_filtered[t]),
-                    _fmt(result.error_var[t]),
-                    _fmt(result.innovation[t]),
-                ]
-            )
+    n = len(result)
+    _write_csv(
+        path, ["t", "y", "lambda_filtered", "error_var", "innovation"],
+        "%d,%d,%.17g,%.17g,%.17g", range(n), np.asarray(counts)[:n],
+        result.lambda_filtered, result.error_var, result.innovation,
+    )
 
 
 def write_residuals_csv(path, residuals) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pearson_residual"])
-        for t, r in enumerate(residuals):
-            writer.writerow([t, _fmt(r)])
+    _write_csv(path, ["t", "pearson_residual"], "%d,%.17g", range(len(residuals)), residuals)
 
 
 def write_acf_pacf_csv(path, acf, pacf) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "acf", "pacf"])
-        for k in range(len(acf)):
-            writer.writerow([k, _fmt(acf[k]), _fmt(pacf[k])])
+    _write_csv(path, ["lag", "acf", "pacf"], "%d,%.17g,%.17g", range(len(acf)), acf, pacf)
 
 
 def write_probtable_csv(path, table) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "fitted", "empirical"])
-        for k, f, e in zip(table.support, table.fitted, table.empirical):
-            writer.writerow([int(k), _fmt(f), _fmt(e)])
-        writer.writerow(["tail", _fmt(table.fitted_tail), _fmt(0.0)])
+    _write_csv(
+        path, ["k", "fitted", "empirical"], "%s,%.17g,%.17g",
+        [*np.asarray(table.support).tolist(), "tail"],
+        np.append(table.fitted, table.fitted_tail), np.append(table.empirical, 0.0),
+    )
 
 
 def write_experiment_csv(path, results) -> None:
     """Rows mirror the simulation-table layout: true values, mean estimates,
     per-parameter MSEs and replicate accounting."""
     keys = ("rho", "omega", "beta", "p", "a")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["family", "intensity", "n", "replicates"]
-            + [f"true_{k}" for k in keys]
-            + [f"mean_{k}" for k in keys]
-            + [f"mse_{k}" for k in keys]
-            + ["completed", "discarded"]
-        )
-        writer.writerow(header)
-        for res in results:
-            row = res.row
-            truth = row.true_values()
-            writer.writerow(
-                [row.family, row.intensity_family, row.n, row.replicates]
-                + [_fmt(truth[k]) for k in keys]
-                + [_fmt(res.mean[k]) for k in keys]
-                + [_fmt(res.mse[k]) for k in keys]
-                + [res.completed, res.discarded]
-            )
+    header = ["family", "intensity", "n", "replicates"] + [
+        f"{kind}_{k}" for kind in ("true", "mean", "mse") for k in keys
+    ] + ["completed", "discarded"]
+    rows = [
+        (res.row.family, res.row.intensity_family, res.row.n, res.row.replicates,
+         *(d[k] for d in (res.row.true_values(), res.mean, res.mse) for k in keys),
+         res.completed, res.discarded)
+        for res in results
+    ]
+    fmt = "%s,%s,%d,%d," + ",".join(["%.17g"] * 3 * len(keys)) + ",%d,%d"
+    _write_csv(path, header, fmt, *zip(*rows))
 
 
 def config_hash(config: dict) -> str:

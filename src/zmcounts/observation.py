@@ -22,7 +22,18 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betainc, gammainc, gammaincc, gammainccinv, gammaln, nbdtrik, ndtri
+from scipy.special import (
+    betainc,
+    betaincinv,
+    gammainc,
+    gammaincc,
+    gammainccinv,
+    gammaln,
+    nbdtrik,
+    nbdtrin,
+    ndtri,
+    roots_legendre,
+)
 from scipy.stats import nbinom, poisson
 
 from .errors import InfeasibleOmegaError, InvalidSpecError
@@ -461,9 +472,10 @@ def _count_index(n: int):
 _SHAPES = np.arange(1.0, 2.0 * _MAX_CLIP_LAMBDA + 4.0)
 
 
-def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
-    """Gamma(p, rate beta) averages ``(E[D1], E[lam*D1])`` and ``(E[D2],)`` of
-    the ZMP clipped law, in closed form.
+def _zmp_clip_terms(omega: float, beta: float, p: float, top: float) -> np.ndarray:
+    """``e[j, k] = E[lam^j min(0, g_k)]`` for j in {0, 1} under the Gamma(p,
+    rate beta) law, in closed form, for the k whose clip boundary lam_k lies
+    below ``top`` (at most _MAX_CLIP_LAMBDA); the terms of larger k vanish.
 
     g_k < 0 exactly for lam > lam_k = gammainccinv(k+1, tau), tau = -omega/(1-omega),
     so E[lam^j min(0, g_k)] = omega*E[lam^j; lam > lam_k] + (1-omega)*S_jk.  With
@@ -475,8 +487,7 @@ def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
     incomplete gamma function and x_k = (beta+1)*lam_k.  With V the cumulative
     sum of the weights and t_m(x) = x^(p+m) e^-x / Gamma(p+m+1) =
     Q(p+m+1, x) - Q(p+m, x), summation by parts gives
-    S_jk = V_{k+j}*Q(p+k+j, x_k) - sum_{m<k+j} t_m(x_k)*V_m.  Terms with
-    lam_k beyond ``top`` (at most _MAX_CLIP_LAMBDA) are dropped.
+    S_jk = V_{k+j}*Q(p+k+j, x_k) - sum_{m<k+j} t_m(x_k)*V_m.
     """
     tau = -omega / (1.0 - omega)
     lam_k = gammainccinv(_SHAPES[: int(top) + 2], tau)
@@ -484,9 +495,9 @@ def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
         lam_k = gammainccinv(_SHAPES[: 2 * int(top) + 3], tau)
     n = int(np.searchsorted(lam_k, top))  # lam_k increases with k
     if n == 0:
-        return np.zeros(2), np.zeros(1)
+        return np.zeros((2, 0))
     lam_k = lam_k[:n]
-    m, log_fact, falling, sum_cols, below, gather = _count_index(n)
+    m, log_fact, falling, _, below, gather = _count_index(n)
     x = (beta + 1.0) * lam_k
     y = beta * lam_k
     lgam = gammaln(p + _SHAPES[: n + 2] - 1.0)  # log Gamma(p+m)
@@ -501,8 +512,14 @@ def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
     q_x[1] = q_x[0] + t.diagonal()
     tail[1] += t.diagonal() * v[1, :n]
     moments = np.array([omega, omega * p / beta])[:, None]  # omega*E[lam^j]
-    e = moments * gammaincc(p + m[:2, None], y) + (1.0 - omega) * (v[gather] * q_x - tail)
-    sums = e @ sum_cols
+    return moments * gammaincc(p + m[:2, None], y) + (1.0 - omega) * (v[gather] * q_x - tail)
+
+
+def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
+    """Gamma(p, rate beta) averages ``(E[D1], E[lam*D1])`` and ``(E[D2],)`` of
+    the ZMP clipped law: sums over k of :func:`_zmp_clip_terms`."""
+    e = _zmp_clip_terms(omega, beta, p, top)
+    sums = e @ _count_index(e.shape[1])[3]
     return sums[:, 0], sums[:1, 1]
 
 
@@ -527,13 +544,58 @@ def _quadrature_clip_averages(family, omega, beta, p, a, c, top):
     return np.array([w @ d1, (w * lam) @ d1]), np.array([w @ d2])
 
 
+def _base_cdf(family, k, lam, a, c):
+    """Baseline CDF F(k|lam), broadcast over k and lam."""
+    if family == CountFamily.ZMP or a == 0.0:
+        return gammaincc(k + 1.0, lam)
+    r, q0 = _nb_shape_prob(lam, a, c)
+    return betainc(r, k + 1.0, q0)
+
+
+def _clip_points(family, k, tau, a, c):
+    """The intensity lam_k at which F(k|lam_k) = tau; F decreases in lam."""
+    if family == CountFamily.ZMP or a == 0.0:
+        return gammainccinv(k + 1.0, tau)
+    if c == 1:  # r = 1/a, q0 = 1/(1+a*lam)
+        return (1.0 / betaincinv(1.0 / a, k + 1.0, tau) - 1.0) / a
+    return a * nbdtrin(k, tau, 1.0 / (1.0 + a))  # r = lam/a, q0 = 1/(1+a)
+
+
+def _quadrature_marginal_cdf(family, omega, beta, p, a, c, k):
+    """E[max(0, g_k)], g_k = omega + (1-omega)*F(k|lam), under the Gamma(p,
+    rate beta) law: the marginal CDF at the counts ``k`` of the law the
+    sampler draws.
+
+    E[g_k] is averaged by the 64-node rule of :func:`_gamma_rule`.  For
+    omega < 0 the clip subtracts E[min(0, g_k)], the average of g_k beyond its
+    kink lam_k, which a 64-node Gauss-Legendre rule in the gamma CDF over
+    (lam_k, inf) integrates without crossing the kink; kinks beyond the
+    _CLIP_TAIL quantile are dropped.
+    """
+    nodes, weights = _gamma_rule(p)
+    cdf = weights @ (omega + (1.0 - omega) * _base_cdf(family, k, nodes[:, None] / beta, a, c))
+    if omega < 0.0:
+        tail = gammaincc(p, beta * _clip_points(family, k, -omega / (1.0 - omega), a, c))
+        live = tail > _CLIP_TAIL
+        s, ws = roots_legendre(64)
+        lam = gammainccinv(p, np.outer(tail[live], 0.5 - 0.5 * s)) / beta
+        g = omega + (1.0 - omega) * _base_cdf(family, k[live, None], lam, a, c)
+        cdf[live] -= tail[live] * (g @ (0.5 * ws))
+    return cdf
+
+
+def _clip_top(beta: float, p: float) -> float:
+    """Upper _CLIP_TAIL quantile of the Gamma(p, rate beta) intensity law."""
+    return float(gammainccinv(p, _CLIP_TAIL)) / beta
+
+
 def _clip_averages(family, omega, mu, sigma2, a, c):
     """Clipped-law averages under the gamma law with mean mu and variance
     sigma2: closed form for ZMP while the law puts less than _CLIP_TAIL beyond
     _MAX_CLIP_LAMBDA, quadrature otherwise."""
     beta = mu / sigma2
     p = mu * beta
-    top = float(gammainccinv(p, _CLIP_TAIL)) / beta
+    top = _clip_top(beta, p)
     if (family == CountFamily.ZMP or a == 0.0) and top <= _MAX_CLIP_LAMBDA:
         return _zmp_clip_averages(omega, beta, p, top)
     return _quadrature_clip_averages(family, omega, beta, p, a, c, top)

@@ -164,6 +164,51 @@ class TestDiagnoseCommand:
         fitted = [float(r[1]) for r in rows[1:-1]]
         assert sum(fitted) <= 1 + 1e-9
 
+    def test_deflated_fit(self, tmp_path):
+        # the criterion-2 row, drawn from the truncated law where omega is infeasible
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, n=1000, seed=0, on_infeasible="truncate", model={
+            "family": "zmp", "intensity": "gar1", "omega": -0.2,
+            "rho": 0.8, "beta": 2.0, "p": 4.0,
+        })
+        out = tmp_path / "out"
+        data = ["--data", str(out / "counts.csv")]
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["fit", "--config", str(cfg), *data, "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "fit.json").read_text())["estimates"]["omega"] < 0
+        rc = main(["diagnose", "--config", str(cfg), *data,
+                   "--fit", str(out / "fit.json"), "--out", str(out)])
+        assert rc == EXIT_OK
+        resid = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+        assert resid.shape == (1000, 2)
+        assert np.all(np.isfinite(resid[:, 1]))
+
+    def test_deterministic_outputs(self, tmp_path):
+        # a ZMNB table was a Monte-Carlo average seeded from the config
+        model = {"family": "zmnb", "intensity": "gar1", "omega": 0.3, "rho": 0.8,
+                 "beta": 0.5, "p": 1.0, "a": 0.5, "c": 1}
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, model=model)
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        fit_doc = {"family": "zmnb", "intensity_family": "gar1",
+                   "estimates": {k: v for k, v in model.items()
+                                 if k not in ("family", "intensity")}}
+        (out / "fit.json").write_text(json.dumps(fit_doc))
+
+        def diagnose(config, name):
+            dest = tmp_path / name
+            rc = main(["diagnose", "--config", str(config), "--data", str(out / "counts.csv"),
+                       "--fit", str(out / "fit.json"), "--out", str(dest)])
+            assert rc == EXIT_OK
+            return [(dest / f).read_bytes() for f in ("probtable.csv", "residuals.csv")]
+
+        first = diagnose(cfg, "a")
+        assert diagnose(cfg, "b") == first
+        reseeded = tmp_path / "reseeded.json"
+        write_config(reseeded, model=model, seed=12)
+        assert diagnose(reseeded, "c")[0] == first[0]
+
     def test_missing_fit_errors(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)

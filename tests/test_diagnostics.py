@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import betainc, gammaincc
+from scipy.stats import gamma as gamma_law
+
 from zmcounts.diagnostics import (
     ProbTable,
     empirical_probs,
@@ -8,12 +13,39 @@ from zmcounts.diagnostics import (
     ljung_box,
     pearson_residuals,
     sample_acf_pacf,
+    truncated_residuals,
 )
 from zmcounts.errors import EstimationError, InvalidSpecError
 from zmcounts.intensity import simulate_intensity
-from zmcounts.observation import CountFamily, ModelSpec, Params, zm_sample
+from zmcounts.observation import CountFamily, ModelSpec, Params, truncated_moments, zm_sample
 
 SYPHILIS_FIT = ModelSpec.create("zmp", "gar1", omega=0.2723, rho=0.7492, beta=2.1275, p=9.9184)
+
+
+def marginal_probs_by_quad(spec: ModelSpec, kmax: int) -> np.ndarray:
+    """The oracle: P(Y=k) of the law the sampler draws, the clipped CDF
+    max(0, omega + (1-omega)*F(k|lambda)) averaged over the gamma intensity
+    law by adaptive quadrature, split at the clip's kink."""
+    pp = spec.params
+    w = pp.omega
+    law = gamma_law(pp.p, scale=1.0 / pp.beta)
+    hi = law.isf(1e-17)
+
+    def base_cdf(k, lam):
+        if spec.family == CountFamily.ZMP:
+            return gammaincc(k + 1.0, lam)
+        r = lam ** (1 - pp.c) / pp.a
+        return betainc(r, k + 1.0, 1.0 / (1.0 + pp.a * lam**pp.c))
+
+    cdf = []
+    for k in range(kmax + 1):
+        def g(lam):
+            return w + (1.0 - w) * base_cdf(k, lam)
+
+        kinks = [brentq(g, 1e-12, hi, xtol=1e-14)] if w < 0.0 and g(hi) < 0.0 else None
+        cdf.append(quad(lambda lam: max(0.0, g(lam)) * law.pdf(lam), 0.0, hi,
+                        points=kinks, epsabs=1e-15, epsrel=1e-13, limit=500)[0])
+    return np.diff(cdf, prepend=0.0)
 
 
 class TestPearsonResiduals:
@@ -41,6 +73,26 @@ class TestPearsonResiduals:
         pp = Params(omega=-0.3, rho=0.5, beta=1.0, p=2.0)
         with pytest.raises(EstimationError, match="t=1"):
             pearson_residuals([1, 2], [1.0, 5.0], pp, CountFamily.ZMP)
+
+
+class TestTruncatedResiduals:
+    def test_finite_where_pearson_residuals_raise(self):
+        pp = Params(omega=-0.3, rho=0.5, beta=1.0, p=2.0)
+        lam = np.array([1.0, 5.0, 9.0])
+        y = np.array([1, 2, 12])
+        res = truncated_residuals(y, lam, pp, CountFamily.ZMP)
+        mean, var = truncated_moments(CountFamily.ZMP, lam, pp)
+        np.testing.assert_array_equal(res, (y - mean) / np.sqrt(var))
+        assert np.all(np.isfinite(res))
+
+    def test_equal_pearson_residuals_for_inflated_models(self):
+        pp = Params(omega=0.2, rho=0.5, beta=1.0, p=2.0, a=0.5, c=1)
+        lam = np.array([0.5, 2.0, 7.0])
+        y = [0, 3, 5]
+        np.testing.assert_array_equal(
+            truncated_residuals(y, lam, pp, CountFamily.ZMNB),
+            pearson_residuals(y, lam, pp, CountFamily.ZMNB),
+        )
 
 
 class TestAcfPacf:
@@ -120,16 +172,43 @@ class TestMarginalProbs:
         probs = fitted_marginal_probs(SYPHILIS_FIT, 15)
         assert probs[0] == pytest.approx(0.2882, abs=5e-4)
 
-    def test_closed_form_vs_monte_carlo(self):
+    def test_closed_form_vs_quadrature(self):
         probs = fitted_marginal_probs(SYPHILIS_FIT, 15)
-        from zmcounts.diagnostics import _modified_cdf_marginal
+        assert np.max(np.abs(probs - marginal_probs_by_quad(SYPHILIS_FIT, 15))) < 1e-10
 
-        mc = _modified_cdf_marginal(SYPHILIS_FIT, 15, 1_000_000, np.random.default_rng(55))
-        assert np.max(np.abs(probs - mc)) < 0.003
+    @pytest.mark.parametrize(
+        "family, intensity, omega, beta, p, a, c, bound",
+        [
+            # the unclipped ZMP-EAR1 law: the negative-binomial closed form at p = 1
+            ("zmp", "ear1", 0.2, 0.5, 1.0, 0.0, 1, 1e-10),
+            # the clipped law of the criterion-2 row: closed-form clip terms
+            ("zmp", "gar1", -0.2, 2.0, 4.0, 0.0, 1, 1e-10),
+            ("zmp", "ear1", -0.1, 0.5, 1.0, 0.0, 1, 1e-10),
+            # an intensity law past lambda = 256: quadrature of the clipped law
+            ("zmp", "gar1", -0.05, 2.0, 400.0, 0.0, 1, 1e-5),
+            ("zmnb", "gar1", 0.3, 0.5, 1.0, 0.5, 0, 1e-8),
+            ("zmnb", "gar1", 0.3, 0.5, 1.0, 0.5, 1, 1e-8),
+            # the kink of the clip is integrated on its own
+            ("zmnb", "gar1", -0.1, 0.5, 1.0, 0.5, 0, 1e-6),
+            ("zmnb", "gar1", -0.1, 0.5, 1.0, 0.5, 1, 1e-6),
+        ],
+    )
+    def test_against_quadrature_of_the_sampled_law(
+        self, family, intensity, omega, beta, p, a, c, bound
+    ):
+        spec = ModelSpec.create(family, intensity, omega=omega, rho=0.8, beta=beta, p=p, a=a, c=c)
+        mu = p / beta
+        kmax = int(mu + 12.0 * np.sqrt(mu + (1.0 + a) * mu / beta))
+        probs = fitted_marginal_probs(spec, kmax)
+        assert np.max(np.abs(probs - marginal_probs_by_quad(spec, kmax))) < bound
+
+    def test_deterministic(self):
+        spec = ModelSpec.create("zmnb", "gar1", omega=-0.1, rho=0.8, beta=0.5, p=1.0, a=0.5)
+        assert np.array_equal(fitted_marginal_probs(spec, 40), fitted_marginal_probs(spec, 40))
 
     def test_zmnb_marginal_sums_below_one(self):
         spec = ModelSpec.create("zmnb", "gar1", omega=0.1, rho=0.5, beta=1.0, p=2.0, a=0.5, c=1)
-        probs = fitted_marginal_probs(spec, 30, mc_draws=200_000, rng=np.random.default_rng(56))
+        probs = fitted_marginal_probs(spec, 30)
         assert np.all(probs >= 0)
         assert probs.sum() <= 1 + 1e-12
 
