@@ -29,7 +29,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import EstimationError, InfeasibleInitError, InvalidSpecError
+from .errors import (
+    EstimationError,
+    InfeasibleInitError,
+    InfeasibleOmegaError,
+    InvalidSpecError,
+)
 from .filtering import forward_pass, gkf_filter, variance_path
 from .intensity import IntensityFamily
 from .observation import (
@@ -102,7 +107,7 @@ class FitResult:
     trace: list[Params]
     filtered: np.ndarray
     residuals: np.ndarray
-    ef_norm: float
+    grad_norm: float
     se: dict | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -137,7 +142,7 @@ class FitResult:
             "intensity_family": self.intensity_family.value,
             "iterations": self.iterations,
             "converged": self.converged,
-            "ef_norm": self.ef_norm,
+            "grad_norm": self.grad_norm,
             "notes": self.notes,
             "trace": [
                 {"omega": t.omega, "rho": t.rho, "beta": t.beta, "p": t.p, "a": t.a}
@@ -425,61 +430,17 @@ def _project(
     return w2, mu2, rho2, s22, a2
 
 
-def _sigma2_rule(ear1: bool, s2_sample: float, w: float, mu: float, a: float, c: int,
-                family: CountFamily) -> float:
-    """Intensity variance implied by the current iterate: the exponential
-    family ties it to mu^2, otherwise it inverts the count-variance identity
-    at the sample variance (floored away from zero)."""
-    if ear1:
-        return mu**2
-    s2 = sigma2_from_count_variance(s2_sample, w, mu, a, c, family)
-    return max(s2, _SIGMA2_MIN, 1e-3 * mu**2)
-
-
-def solver_conditions(y, prev, theta, s2_sample, a, c, family, p0hat, ear1=False):
-    """Level and zero-mass residuals of the determined system at theta.
-
-    The three published linear-EF components share the two instruments
-    {1, lhat_{t-1}} and are algebraically rank-2 (the m-instrument is an exact
-    linear combination of the other two), leaving one parameter direction
-    unidentified.  The fitting loop therefore keeps the constant-instrument
-    (level) condition, adds the model's exact marginal zero-mass identity, and
-    pins the AR coefficient by minimizing the innovation quasi-deviance
-    sum(h^2/J + log J), whose rho-derivative is itself a martingale estimating
-    function.  This helper evaluates the two algebraic residuals plus the
-    deviance at one point.
-    """
-    w, mu, rho = theta
-    if w >= 1.0 or not 0.0 <= rho < 1.0 or mu <= 0:
-        return None
-    sigma2 = _sigma2_rule(ear1, s2_sample, w, mu, a, c, family)
-    a0, a1, noise = observation_coefficients(family, w, mu, sigma2, a, c)
-    if not noise > 0:
-        return None
-    n = len(y)
-    _, gain, jvar, _ = variance_path(n, a1, rho, sigma2, noise)
-    pt = gain * jvar  # a1 * C_{t|t-1}
-    weight = a1 * pt / jvar**2
-    h = y - a0 - a1 * (rho * prev + (1.0 - rho) * mu)
-    beta = mu / sigma2
-    p0_model = marginal_zero_prob(family, w, beta, mu * beta, a, c)
-    level = float(np.sum(weight * h) / n)
-    zeros = p0hat - p0_model
-    deviance = float(np.mean(h**2 / jvar + np.log(jvar)))
-    return level, zeros, deviance
-
-
 class _FitCore:
     """Inner engine of the fitting loop at fixed dispersion.
 
     Works on the innovation quasi-deviance Q = mean(h^2/J + log J) of the
-    self-consistently filtered series.  (mu, rho, sigma2) minimize Q at the
-    current omega (sigma2 is tied to mu^2 under an exponential marginal);
-    omega is then re-solved from the exact marginal zero-mass identity, and
-    the stages alternate to a joint fixed point.  Both stages' first-order
-    conditions are martingale estimating functions, so the combined root
-    keeps the unbiasedness structure of the published system while being
-    fully identified.
+    self-consistently filtered series.  (mu, rho, sigma2) minimize Q jointly
+    (sigma2 is tied to mu^2 under an exponential marginal), with omega solved
+    from the exact marginal zero-mass identity at every trial point.  One
+    bounded L-BFGS-B solve (:meth:`run`) finds the minimum for every family;
+    its stationarity conditions, like the zero-mass tie, are martingale
+    estimating functions, so the root keeps the unbiasedness structure of the
+    published system while being fully identified.
 
     ``per_step`` selects the ZMP variance weights for the whole fit (see
     :meth:`deviance`), so that the objective keeps one form at every trial
@@ -585,46 +546,56 @@ class _FitCore:
             return _BIG
         return self.deviance(w, mu, rho, sigma2)
 
-    def run(self, w0, mu0, rho0, sigma20, tol=1e-7):
-        """Joint minimization; returns (w, mu, rho, sigma2, converged, n_iter)."""
-        rho0 = min(max(rho0, 0.0), _RHO_MAX)
-        x0 = np.array([mu0, rho0] if self.ear1 else [mu0, rho0, sigma20])
+    def run(self, w0, mu0, rho0, sigma20, tol, max_iter):
+        """Bounded quasi-Newton minimization of :meth:`objective`.
+
+        L-BFGS-B on finite-difference gradients, started from the point
+        clipped into the bounds, stops once the projected gradient's max-norm
+        is at most ``tol`` (or the objective's relative decrease falls below
+        1e-15) and gives up after ``max_iter`` iterations.  Returns
+        (w, mu, rho, sigma2, converged, n_iter, grad_norm); ``grad_norm`` is
+        the max-norm of the final gradient with the components zeroed where
+        an active bound blocks descent.
+        """
+        k = 2 if self.ear1 else 3
+        lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k])
+        upper = np.array([np.inf, _RHO_MAX, np.inf][:k])
+        x0 = np.array([mu0, rho0, sigma20][:k])
         res = minimize(
-            self.objective, x0=x0, method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 800},
+            self.objective, x0=x0, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+            options={"gtol": tol, "maxiter": max_iter, "ftol": 1e-15},
         )
-        res2 = minimize(
-            self.objective, x0=res.x, method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400},
-        )
-        if res2.fun <= res.fun:
-            res = res2
+        g = res.jac
+        blocked = ((res.x <= lower) & (g > 0)) | ((res.x >= upper) & (g < 0))
+        grad_norm = float(np.max(np.abs(np.where(blocked, 0.0, g))))
         if self.ear1:
             mu, rho = res.x
             sigma2 = float(mu**2)
         else:
             mu, rho, sigma2 = res.x
-        rho = float(min(max(rho, 0.0), _RHO_MAX))
         w = self.tied_omega(mu, sigma2)
         converged = bool(res.success and w is not None and res.fun < _BIG)
         if w is None:
             w = w0
-        return float(w), float(mu), rho, float(sigma2), converged, int(res.nit)
+        return float(w), float(mu), float(rho), float(sigma2), converged, int(res.nit), grad_norm
 
-    def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max=10.0, tol=1e-8):
+    def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter):
         """Joint solve including the dispersion: a is the bracketed root of the
-        quadratic estimating function, with (omega, mu, rho, sigma2) refit for
-        every trial value so the root is the joint fixed point."""
+        quadratic estimating function, with (omega, mu, rho, sigma2) refit by
+        :meth:`run` for every trial value so the root is the joint fixed
+        point.  Returns (w, mu, rho, sigma2, a, converged, grad_norm), the
+        last of the final refit."""
         state = {"w": w0, "mu": mu0, "rho": rho0, "s2": sigma20}
         anchor = dict(state)
 
         def refit(a, from_anchor=False):
             self.a = a
             src_state = anchor if from_anchor else state
-            w, mu, rho, sigma2, ok, k = self.run(
+            w, mu, rho, sigma2, ok, _, gnorm = self.run(
                 src_state["w"], src_state["mu"], src_state["rho"], src_state["s2"],
+                tol, max_iter,
             )
-            state.update(w=w, mu=mu, rho=rho, s2=sigma2)
+            state.update(w=w, mu=mu, rho=rho, s2=sigma2, grad_norm=gnorm)
             return ok
 
         def gq(a, from_anchor=False):
@@ -689,7 +660,7 @@ class _FitCore:
         ok = refit(a_hat)
         return (
             state["w"], state["mu"], state["rho"], state["s2"], a_hat,
-            bool(ok and not boundary),
+            bool(ok and not boundary), state["grad_norm"],
         )
 
 
@@ -707,7 +678,10 @@ def solve_ef_block(
     Filtering and condition-solving are interleaved inside :class:`_FitCore`
     (the filter is rebuilt for every visited parameter point).  ``spec`` fixes
     the families and the dispersion form index; its parameter values serve as
-    the starting point unless ``init`` is given.
+    the starting point unless ``init`` is given.  ``tol`` bounds the max-norm
+    of the projected gradient at which the bounded quasi-Newton solve stops,
+    and ``max_iter`` caps its iterations; a ZMNB fit applies both to each of
+    its inner refits.
     """
     from .diagnostics import pearson_residuals, truncated_residuals
 
@@ -722,9 +696,7 @@ def solve_ef_block(
         cur = replace(cur, a=_A_MIN)
     notes: list[str] = []
     trace = [cur]
-    converged = False
     a = cur.a
-    iterations = 0
     w, mu, rho = cur.omega, cur.mu_lambda, cur.rho
     sigma2 = cur.sigma2_lambda
     core = _FitCore(yf, family, ear1, a, c=cur.c, p0hat=p0hat)
@@ -737,12 +709,14 @@ def solve_ef_block(
         w_start = core.tied_omega(mu, sigma2)
         core.per_step = (cur.omega if w_start is None else w_start) >= 0.0
     if family == CountFamily.ZMNB:
-        w, mu, rho, sigma2, a, converged = core.run_zmnb(
-            w, mu, rho, sigma2, a, a_max=a_max, tol=tol
+        w, mu, rho, sigma2, a, converged, grad_norm = core.run_zmnb(
+            w, mu, rho, sigma2, a, a_max, tol, max_iter
         )
         iterations = 1
     else:
-        w, mu, rho, sigma2, converged, iterations = core.run(w, mu, rho, sigma2, tol=tol)
+        w, mu, rho, sigma2, converged, iterations, grad_norm = core.run(
+            w, mu, rho, sigma2, tol, max_iter
+        )
     trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))
     sigma2_f = sigma2
     obs = observation_coefficients(family, w, mu, sigma2_f, a, cur.c)
@@ -757,16 +731,6 @@ def solve_ef_block(
     trace.append(cur)
     spec_hat = spec.with_params(cur)
     filt = gkf_filter(y, spec_hat)
-    prev = np.concatenate([[cur.mu_lambda], filt.lambda_filtered[:-1]])
-    resid_conditions = solver_conditions(
-        yf, prev, (cur.omega, cur.mu_lambda, cur.rho),
-        float(np.var(yf, ddof=1)), a, cur.c, family, p0hat, ear1,
-    )
-    ef_norm = (
-        float(np.hypot(resid_conditions[0], resid_conditions[1]))
-        if resid_conditions is not None
-        else math.inf
-    )
     if cur.omega < 0.0:
         residuals = truncated_residuals(y, filt.lambda_filtered, cur, family)
     else:
@@ -780,7 +744,7 @@ def solve_ef_block(
         trace=trace,
         filtered=filt.lambda_filtered,
         residuals=residuals,
-        ef_norm=ef_norm,
+        grad_norm=grad_norm,
         notes=sorted(set(notes)),
     )
 
@@ -884,5 +848,5 @@ def bootstrap_se(
 def _bootstrap_one_safe(args):
     try:
         return _bootstrap_one(args)
-    except Exception:
+    except (InfeasibleOmegaError, InfeasibleInitError, EstimationError):
         return None

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from zmcounts.estimation import (
     solve_ef_block,
     solve_quadratic_ef,
 )
+from zmcounts.experiments import ExperimentRow, run_replicate
 from zmcounts.filtering import gkf_filter
 from zmcounts.intensity import IntensityFamily, simulate_intensity
+from zmcounts.io import write_fit_json
 from zmcounts.observation import (
     CountFamily,
     ModelSpec,
@@ -350,7 +354,78 @@ class TestZmnbFit:
         assert ph.rho == pytest.approx(0.8, abs=0.15)
 
 
+class TestFitEngine:
+    # first spawned children of the criterion-1 and criterion-2 master seeds,
+    # with the estimates the former two-run Nelder-Mead engine reached
+    PINNED = [
+        (0, 20240809, 0, {"rho": 0.8530508853826324, "omega": 0.19117458072619675,
+                          "beta": 0.49290691963569233, "p": 4.1855015210489555}),
+        (0, 20240809, 1, {"rho": 0.7200940051039129, "omega": 0.1792010294310456,
+                          "beta": 0.4804663375858777, "p": 3.5684026261783552}),
+        (1, 20240810, 0, {"rho": 0.8344150836921653, "omega": -0.13897868212011055,
+                          "beta": 1.8844632347948265, "p": 3.910758031139935}),
+        (1, 20240810, 1, {"rho": 0.8614683530187699, "omega": -0.10674706489712117,
+                          "beta": 2.2003122738338208, "p": 4.3052879349874775}),
+    ]
+    ROWS = [
+        ExperimentRow("zmp", "gar1", omega=0.2, rho=0.8, beta=0.5, p=4.0,
+                      n=1000, replicates=2),
+        ExperimentRow("zmp", "gar1", omega=-0.2, rho=0.8, beta=2.0, p=4.0,
+                      n=1000, replicates=2, on_infeasible="truncate"),
+    ]
+
+    def criterion1_series(self, seed):
+        return simulate_counts(self.ROWS[0].spec(), 1000, seed)
+
+    @pytest.mark.parametrize("row,master,child,expected", PINNED)
+    def test_replicate_estimates_pinned(self, row, master, child, expected):
+        seed = np.random.SeedSequence(master).spawn(child + 1)[child]
+        est = run_replicate(self.ROWS[row], seed)
+        assert isinstance(est, dict), est
+        for key, value in expected.items():
+            assert est[key] == pytest.approx(value, rel=1e-4), key
+
+    def test_objective_evaluation_budget(self, monkeypatch):
+        calls = []
+        objective = _FitCore.objective
+
+        def counted(self, x):
+            calls.append(1)
+            return objective(self, x)
+
+        monkeypatch.setattr(_FitCore, "objective", counted)
+        res = fit(self.criterion1_series(1), "zmp", "gar1")
+        assert res.converged
+        assert len(calls) <= 200
+
+    def test_grad_norm_within_tol(self, tmp_path):
+        res = fit(self.criterion1_series(2), "zmp", "gar1", tol=1e-6)
+        assert res.converged
+        assert 0.0 <= res.grad_norm <= 1e-6
+        write_fit_json(tmp_path / "fit.json", res)
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["grad_norm"] == res.grad_norm
+
+    def test_iteration_cap(self):
+        y = self.criterion1_series(3)
+        capped = fit(y, "zmp", "gar1", max_iter=1)
+        assert not capped.converged
+        assert capped.iterations == 1
+        assert fit(y, "zmp", "gar1").converged
+
+
 class TestBootstrap:
+    def test_untyped_errors_propagate(self, monkeypatch):
+        from zmcounts import estimation
+
+        def broken(*args, **kwargs):
+            raise ValueError("not a fit failure")
+
+        monkeypatch.setattr(estimation, "fit", broken)
+        spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.7, beta=1.0, p=2.0)
+        with pytest.raises(ValueError, match="not a fit failure"):
+            bootstrap_se(spec, n=100, reps=2, rng=np.random.default_rng(0))
+
     def test_identical_seeds_zero_se(self):
         spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.7, beta=1.0, p=2.0)
         rng = np.random.default_rng(46)
