@@ -24,25 +24,26 @@ from .errors import (
     ZmcountsError,
 )
 from .estimation import (
-    BootstrapResult,
     EFSystem,
     FitResult,
     GridConfig,
     SampleMoments,
-    bootstrap_se,
     default_init,
     ef_components,
-    estimate_sigma2,
     fit,
     grid_search_init,
     moment_init_ear1,
     moment_init_gar1_factorial,
-    quadratic_ef_value,
-    sigma2_from_count_variance,
     solve_ef_block,
-    solve_quadratic_ef,
 )
-from .experiments import ExperimentResult, ExperimentRow, run_experiment, run_replicate
+from .experiments import (
+    BootstrapResult,
+    ExperimentResult,
+    ExperimentRow,
+    bootstrap_se,
+    run_experiment,
+    run_replicate,
+)
 from .filtering import (
     FilterResult,
     FilterState,
@@ -50,7 +51,6 @@ from .filtering import (
     gkf_filter,
     gkf_init,
     gkf_step,
-    vbar,
 )
 from .intensity import (
     IntensityFamily,
@@ -74,9 +74,9 @@ from .observation import (
     marginal_zero_prob,
     observation_coefficients,
     truncated_moments,
+    vbar_from,
     zm_pmf,
     zm_pmf_vector,
-    zm_quadratic_variance,
     zm_sample,
     zmnb_fourth_central_moment,
 )

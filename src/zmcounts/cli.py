@@ -44,8 +44,8 @@ from .errors import (
     InvalidSpecError,
     ZmcountsError,
 )
-from .estimation import bootstrap_se, fit
-from .experiments import ExperimentRow, run_experiment
+from .estimation import fit
+from .experiments import ExperimentRow, bootstrap_se, run_experiment
 from .filtering import gkf_filter
 from .intensity import simulate_intensity
 from .observation import ModelSpec, zm_sample

@@ -29,12 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import (
-    EstimationError,
-    InfeasibleInitError,
-    InfeasibleOmegaError,
-    InvalidSpecError,
-)
+from .errors import EstimationError, InfeasibleInitError, InvalidSpecError
 from .filtering import forward_pass, gkf_filter, variance_path
 from .intensity import IntensityFamily
 from .observation import (
@@ -42,23 +37,20 @@ from .observation import (
     ModelSpec,
     Params,
     as_count_series,
-    conditional_moments,
-    feasible_omega_interval,
     marginal_zero_prob,
     observation_coefficients,
     vbar_from,
-    zm_quadratic_variance,
     zmp_zero_mass_omega,
 )
 
-# feasibility floors used when projecting iterates back into the parameter space
+# bounds of the quasi-Newton solve and of the zero-mass tie
 _MU_MIN = 1e-4
 _SIGMA2_MIN = 1e-6
 _RHO_MAX = 0.999
+_OMEGA_MIN = -0.95
 _OMEGA_MAX = 0.999
 _A_MIN = 1e-4
 _JAC_STEP = 1e-5
-_MAX_HALVINGS = 20
 _BIG = 1e18
 
 
@@ -213,81 +205,6 @@ def ef_components(
     return EFSystem(components=g0, jacobian=jac)
 
 
-def estimate_sigma2(filtered, rho_hat: float, mu_hat: float) -> float:
-    """Mean squared AR(1) residual of a positive path, scaled by 1/(1-rho^2).
-
-    Consistent for the innovation-implied variance when applied to the latent
-    intensities themselves; see the fitting loop for how the intensity
-    variance is actually updated during estimation.
-    """
-    lam = np.asarray(filtered, dtype=float)
-    if lam.size < 2:
-        raise InvalidSpecError("need at least two filtered values")
-    if not abs(rho_hat) < 1:
-        raise InvalidSpecError(f"|rho| must be < 1, got {rho_hat}")
-    resid = lam[1:] - rho_hat * lam[:-1] - (1.0 - rho_hat) * mu_hat
-    return float(np.mean(resid**2) / (1.0 - rho_hat**2))
-
-
-def sigma2_from_count_variance(
-    s2: float, omega: float, mu: float, a: float = 0.0, c: int = 1,
-    family: CountFamily = CountFamily.ZMP,
-) -> float:
-    """Invert the unconditional count-variance identity for sigma2_lambda."""
-    base = s2 / (1.0 - omega)
-    if family == CountFamily.ZMP or a == 0.0:
-        return base - mu - omega * mu**2
-    if c == 0:
-        return base - (1.0 + a) * mu - omega * mu**2
-    return (base - mu - (omega + a) * mu**2) / (1.0 + a)
-
-
-def quadratic_ef_value(series, filtered, params: Params) -> float:
-    """Quadratic estimating function for the dispersion at params.a.
-
-    Sums ``-(1-w)*l^(1+c)/Var_Q * [(y-(1-w)l)^2 - Var(y|l)]`` over the series
-    with the filtered intensities substituted for the latent ones; scaled by
-    1/n.  Positive values indicate the dispersion parameter is too large.
-    """
-    y = as_count_series(series).astype(float)
-    lam = np.asarray(filtered, dtype=float)
-    w, c = params.omega, params.c
-    mean, var = conditional_moments(CountFamily.ZMNB, lam, params)
-    varq = zm_quadratic_variance(CountFamily.ZMNB, lam, params)
-    if np.any(varq <= 0):
-        raise EstimationError("degenerate quadratic-EF weights (Var_Q <= 0)")
-    hq = (y - mean) ** 2 - var
-    return float(np.sum(-(1.0 - w) * lam ** (1 + c) / varq * hq) / len(y))
-
-
-def solve_quadratic_ef(
-    series, filtered, params: Params, a_max: float = 10.0
-) -> float:
-    """Dispersion estimate: root of the quadratic estimating function in a.
-
-    Root-finding is safeguarded bisection on (0, a_max]; a same-sign bracket
-    at the lower end reports the boundary solution (the Poisson limit), at the
-    upper end it is an error suggesting a larger a_max.
-    """
-
-    def g(a):
-        return quadratic_ef_value(series, filtered, replace(params, a=a))
-
-    g_lo = g(_A_MIN)
-    g_hi = g(a_max)
-    if g_lo == 0.0:
-        return _A_MIN
-    if g_lo * g_hi > 0:
-        # the EF crosses zero from below as a sweeps up, so an all-positive
-        # bracket puts the root at the lower boundary (the Poisson limit)
-        if g_lo > 0:
-            return _A_MIN
-        raise EstimationError(
-            f"quadratic EF has no sign change on ({_A_MIN}, {a_max}]; increase a_max"
-        )
-    return float(brentq(g, _A_MIN, a_max, xtol=1e-10))
-
-
 def moment_init_ear1(moments: SampleMoments, c: int = 1) -> Params:
     """Closed-form moment initializer for the exponential-intensity model."""
     ybar, s2, r1 = moments.ybar, moments.s2, moments.r1
@@ -366,17 +283,11 @@ def grid_search_init(
     W, R, B, P, A = np.meshgrid(omega, rho, beta, p, a, indexing="ij")
     mu = P / B
     s2 = P / B**2
-    m2 = s2 + mu**2
     mean = (1.0 - W) * mu
-    if family == CountFamily.ZMP:
-        var = (1.0 - W) * (mu + s2 + W * mu**2)
-        vb = mu + W * m2
-    elif c == 0:
-        var = (1.0 - W) * ((1.0 + A) * mu + s2 + W * mu**2)
-        vb = (1.0 + A) * mu + W * m2
-    else:
-        var = (1.0 - W) * (mu + (A + 1.0) * s2 + (W + A) * mu**2)
-        vb = mu + (W + A) * m2
+    # moments of the unclipped law at every point, negative omega included:
+    # the clipped law's coefficients cost too much per point for this grid
+    vb = vbar_from(family, W, mu, s2, A, c)
+    var = (1.0 - W) * (vb + (1.0 - W) * s2)
     acf1 = (1.0 - W) * s2 * R / np.where(var > 0, var / (1.0 - W), np.nan)
     obj = (mean - mom.ybar) ** 2 + (var - mom.s2) ** 2 + (acf1 - mom.r1) ** 2
     obj = np.where((var > 0) & (vb > 0), obj, np.inf)
@@ -411,25 +322,6 @@ def default_init(
     return init
 
 
-def _project(
-    omega, mu, rho, sigma2, a, family, min_lambda, a_c, notes
-):
-    """Clip an iterate back into the evaluable region, flagging what moved."""
-    c = a_c
-    rho2 = min(max(rho, 0.0), _RHO_MAX)
-    mu2 = max(mu, _MU_MIN)
-    s22 = max(sigma2, _SIGMA2_MIN)
-    lower, _ = feasible_omega_interval(family, min_lambda, a if a > 0 else 0.0, c)
-    w2 = min(max(omega, lower + 1e-6), _OMEGA_MAX)
-    a2 = max(a, _A_MIN) if family == CountFamily.ZMNB else 0.0
-    moved = (
-        (rho2 != rho) or (mu2 != mu) or (s22 != sigma2) or (w2 != omega) or (a2 != a)
-    )
-    if moved:
-        notes.append("iterate projected onto feasible bounds")
-    return w2, mu2, rho2, s22, a2
-
-
 class _FitCore:
     """Inner engine of the fitting loop at fixed dispersion.
 
@@ -447,7 +339,7 @@ class _FitCore:
     point.
     """
 
-    def __init__(self, yf, family, ear1, a, c, p0hat, w_floor=-0.95):
+    def __init__(self, yf, family, ear1, a, c, p0hat):
         self.yf = yf
         self.n = len(yf)
         self.family = family
@@ -455,9 +347,6 @@ class _FitCore:
         self.a = a
         self.c = c
         self.p0hat = p0hat
-        self.s2_sample = float(np.var(yf, ddof=1))
-        self.ybar = float(np.mean(yf))
-        self.w_floor = w_floor
         self.per_step = False
 
     def deviance(self, w, mu, rho, sigma2):
@@ -512,24 +401,25 @@ class _FitCore:
         in omega (envelope argument at the clip boundary), so the root is
         unique; a same-sign range returns the nearer boundary.  ZMP roots
         below zero, where the zero mass is convex, are found by Newton's
-        method; all others are bracketed.  No floor beyond ``w_floor`` is
+        method; all others are bracketed.  No floor beyond ``_OMEGA_MIN`` is
         needed: the clipped law's observation noise, E[Var(Y|lambda)] plus
         the non-linear part of its mean, is positive at every omega.
         """
-        lo = max(self.w_floor, -0.95)
         if self.family == CountFamily.ZMP:
             beta = mu / sigma2
             if self.p0hat < marginal_zero_prob(self.family, 0.0, beta, mu * beta):
-                return zmp_zero_mass_omega(self.p0hat, beta, mu * beta, lo)
-        r_lo = self.zeros_resid(lo, mu, sigma2)
+                return zmp_zero_mass_omega(self.p0hat, beta, mu * beta, _OMEGA_MIN)
+        r_lo = self.zeros_resid(_OMEGA_MIN, mu, sigma2)
         r_hi = self.zeros_resid(_OMEGA_MAX, mu, sigma2)
         if not (np.isfinite(r_lo) and np.isfinite(r_hi)):
             return None
         if r_lo <= 0.0:  # residual decreasing in omega: root below the floor
-            return lo
+            return _OMEGA_MIN
         if r_hi >= 0.0:
             return _OMEGA_MAX
-        return float(brentq(lambda x: self.zeros_resid(x, mu, sigma2), lo, _OMEGA_MAX, xtol=1e-12))
+        return float(brentq(
+            lambda x: self.zeros_resid(x, mu, sigma2), _OMEGA_MIN, _OMEGA_MAX, xtol=1e-12
+        ))
 
     def objective(self, x):
         """Penalized deviance over (mu, rho[, sigma2]) with omega tied to the
@@ -581,7 +471,7 @@ class _FitCore:
 
     def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter):
         """Joint solve including the dispersion: a is the bracketed root of the
-        quadratic estimating function, with (omega, mu, rho, sigma2) refit by
+        innovation-variance condition, with (omega, mu, rho, sigma2) refit by
         :meth:`run` for every trial value so the root is the joint fixed
         point.  Returns (w, mu, rho, sigma2, a, converged, grad_norm), the
         last of the final refit."""
@@ -717,15 +607,10 @@ def solve_ef_block(
         w, mu, rho, sigma2, converged, iterations, grad_norm = core.run(
             w, mu, rho, sigma2, tol, max_iter
         )
+    if w in (_OMEGA_MIN, _OMEGA_MAX):
+        notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
     trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))
-    sigma2_f = sigma2
-    obs = observation_coefficients(family, w, mu, sigma2_f, a, cur.c)
-    lam_f, _, _, _, _, _ = forward_pass(yf, obs, rho, mu, sigma2_f, mu)
-    min_lam = float(min(np.min(lam_f), mu))
-    w, mu, rho, sigma2_f, a = _project(
-        w, mu, rho, sigma2_f, a, family, min_lam, cur.c, notes
-    )
-    cur = _theta_params(w, mu, rho, sigma2_f, a, cur.c)
+    cur = trace[-1]
     if ear1:  # sigma2 = mu^2 gives p = 1 only up to rounding
         cur = replace(cur, p=1.0)
     trace.append(cur)
@@ -745,7 +630,7 @@ def solve_ef_block(
         filtered=filt.lambda_filtered,
         residuals=residuals,
         grad_norm=grad_norm,
-        notes=sorted(set(notes)),
+        notes=notes,
     )
 
 
@@ -771,82 +656,3 @@ def fit(
         p=init.p, a=init.a, c=init.c,
     )
     return solve_ef_block(y, template, init=None, tol=tol, max_iter=max_iter, a_max=a_max)
-
-
-@dataclass
-class BootstrapResult:
-    se: dict[str, float]
-    reps: int
-    failed: int
-
-
-def _bootstrap_one(args):
-    spec_dict, n, seed = args
-    spec = ModelSpec.create(**spec_dict)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    from .intensity import simulate_intensity
-    from .observation import zm_sample
-
-    lam = simulate_intensity(spec.intensity, n, rng)
-    y = zm_sample(spec.family, lam, spec.params, rng)
-    res = fit(y, spec.family, spec.intensity.family, c=spec.params.c)
-    if not res.converged:
-        return None
-    ph = res.params_hat
-    return {"omega": ph.omega, "rho": ph.rho, "beta": ph.beta, "p": ph.p, "a": ph.a}
-
-
-def bootstrap_se(
-    spec_hat: ModelSpec,
-    n: int,
-    reps: int,
-    rng: np.random.Generator,
-    jobs: int = 1,
-    seeds=None,
-) -> BootstrapResult:
-    """Simulation-based standard errors: refit ``reps`` synthetic series of
-    length n drawn from the fitted model and report the empirical standard
-    deviations of the estimates.  Failed refits are excluded and counted.
-    Explicit per-replicate ``seeds`` may be injected for testing."""
-    if reps < 2:
-        raise InvalidSpecError(f"reps must be >= 2, got {reps}")
-    if seeds is None:
-        seeds = [int(s) for s in rng.integers(0, 2**62, size=reps)]
-    elif len(seeds) != reps:
-        raise InvalidSpecError("seeds must have length reps")
-    spec_dict = {
-        "family": spec_hat.family.value,
-        "intensity_family": spec_hat.intensity.family.value,
-        "omega": spec_hat.params.omega,
-        "rho": spec_hat.params.rho,
-        "beta": spec_hat.params.beta,
-        "p": spec_hat.params.p,
-        "a": spec_hat.params.a,
-        "c": spec_hat.params.c,
-    }
-    tasks = [(spec_dict, n, s) for s in seeds]
-    results = []
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for out in ex.map(_bootstrap_one_safe, tasks):
-                results.append(out)
-    else:
-        results = [_bootstrap_one_safe(t) for t in tasks]
-    ok = [r for r in results if r is not None]
-    failed = reps - len(ok)
-    if failed > reps / 2:
-        raise EstimationError(f"{failed}/{reps} bootstrap refits failed")
-    se = {
-        key: float(np.std([r[key] for r in ok], ddof=1))
-        for key in ("omega", "rho", "beta", "p", "a")
-    }
-    return BootstrapResult(se=se, reps=reps, failed=failed)
-
-
-def _bootstrap_one_safe(args):
-    try:
-        return _bootstrap_one(args)
-    except (InfeasibleOmegaError, InfeasibleInitError, EstimationError):
-        return None

@@ -1,4 +1,5 @@
-"""Monte-Carlo replication harness for the simulation experiments.
+"""Monte-Carlo replication harness for the simulation experiments and the
+parametric bootstrap.
 
 Each experiment row fixes a data-generating model, a series length and a
 replicate count.  Replicates draw independent random sources derived from the
@@ -15,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, InfeasibleInitError, InfeasibleOmegaError
+from .errors import (
+    EstimationError,
+    InfeasibleInitError,
+    InfeasibleOmegaError,
+    InvalidSpecError,
+)
 from .estimation import fit
 from .intensity import simulate_intensity
 from .observation import ModelSpec, zm_sample
@@ -90,17 +96,23 @@ def _replicate_task(args):
     return run_replicate(row, np.random.default_rng(state))
 
 
-def run_experiment(row: ExperimentRow, master_seed: int, jobs: int = 1) -> ExperimentResult:
-    """Run all replicates of a row; merge by replicate index (order-free)."""
-    children = np.random.SeedSequence(master_seed).spawn(row.replicates)
-    tasks = [(row, ss) for ss in children]
+def _map_replicates(row: ExperimentRow, seeds, jobs: int) -> list[dict | str]:
+    """:func:`run_replicate` at each seed, in seed order, on ``jobs`` processes."""
+    tasks = [(row, seed) for seed in seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # up to 4 replicates per chunk, but a chunk for every worker
+        chunk = max(1, min(4, len(tasks) // jobs))
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            outcomes = list(ex.map(_replicate_task, tasks, chunksize=4))
-    else:
-        outcomes = [_replicate_task(t) for t in tasks]
+            return list(ex.map(_replicate_task, tasks, chunksize=chunk))
+    return [_replicate_task(t) for t in tasks]
+
+
+def run_experiment(row: ExperimentRow, master_seed: int, jobs: int = 1) -> ExperimentResult:
+    """Run all replicates of a row; merge by replicate index (order-free)."""
+    children = np.random.SeedSequence(master_seed).spawn(row.replicates)
+    outcomes = _map_replicates(row, children, jobs)
     estimates = [o for o in outcomes if isinstance(o, dict)]
     reasons = Counter(o for o in outcomes if isinstance(o, str))
     truth = row.true_values()
@@ -119,3 +131,51 @@ def run_experiment(row: ExperimentRow, master_seed: int, jobs: int = 1) -> Exper
         discard_reasons=reasons,
         estimates=estimates,
     )
+
+
+@dataclass
+class BootstrapResult:
+    se: dict[str, float]
+    reps: int
+    failed: int
+
+
+def bootstrap_se(
+    spec_hat: ModelSpec,
+    n: int,
+    reps: int,
+    rng: np.random.Generator,
+    jobs: int = 1,
+    seeds=None,
+) -> BootstrapResult:
+    """Simulation-based standard errors: refit ``reps`` synthetic series of
+    length n drawn from the fitted model and report the empirical standard
+    deviations of the estimates.
+
+    Each refit is a :func:`run_replicate` of the fitted model's row, so series
+    are drawn with ``on_infeasible="truncate"`` (the law a deflated fit
+    describes) and failed refits are excluded and counted, as discarded
+    replicates are.  Explicit per-replicate ``seeds`` may be injected for
+    testing.
+    """
+    if reps < 2:
+        raise InvalidSpecError(f"reps must be >= 2, got {reps}")
+    if seeds is None:
+        seeds = [int(s) for s in rng.integers(0, 2**62, size=reps)]
+    elif len(seeds) != reps:
+        raise InvalidSpecError("seeds must have length reps")
+    pp = spec_hat.params
+    row = ExperimentRow(
+        spec_hat.family.value, spec_hat.intensity.family.value,
+        omega=pp.omega, rho=pp.rho, beta=pp.beta, p=pp.p, n=n, replicates=reps,
+        a=pp.a, c=pp.c, on_infeasible="truncate",
+    )
+    ok = [o for o in _map_replicates(row, seeds, jobs) if isinstance(o, dict)]
+    failed = reps - len(ok)
+    if failed > reps / 2:
+        raise EstimationError(f"{failed}/{reps} bootstrap refits failed")
+    se = {
+        key: float(np.std([r[key] for r in ok], ddof=1))
+        for key in ("omega", "rho", "beta", "p", "a")
+    }
+    return BootstrapResult(se=se, reps=reps, failed=failed)

@@ -36,8 +36,7 @@ from .observation import (
     ModelSpec,
     ObsCoefficients,
     as_count_series,
-    observation_coefficients,
-    vbar_from,
+    spec_coefficients,
 )
 
 # floor applied if a linear update ever produced a non-positive intensity
@@ -97,22 +96,6 @@ class FilterResult:
         return len(self.lambda_filtered)
 
 
-def vbar(spec: ModelSpec) -> float:
-    """Expected conditional count variance divided by (1-omega); see
-    :func:`~zmcounts.observation.vbar_from` for the per-family formulas."""
-    w, a, c = spec.params.omega, spec.params.a, spec.params.c
-    mu, s2 = spec.params.mu_lambda, spec.params.sigma2_lambda
-    return vbar_from(spec.family, w, mu, s2, a, c)
-
-
-def spec_coefficients(spec: ModelSpec) -> ObsCoefficients:
-    """Observation coefficients of a model at its own parameters."""
-    pp = spec.params
-    return observation_coefficients(
-        spec.family, pp.omega, pp.mu_lambda, pp.sigma2_lambda, pp.a, pp.c
-    )
-
-
 def _check_noise(noise: float) -> None:
     if noise <= 0:
         raise EstimationError(
@@ -134,38 +117,32 @@ def gkf_init(spec: ModelSpec, lambda0: float | None = None) -> tuple[float, floa
 
 
 def gkf_step(prev: FilterState, y: float, spec: ModelSpec) -> tuple[FilterState, FilterStep]:
-    """One predict/update cycle from the previous filtered state."""
-    rho = spec.params.rho
-    mu, s2 = spec.params.mu_lambda, spec.params.sigma2_lambda
-    a0, a1, noise = spec_coefficients(spec)
-    _check_noise(noise)
+    """One predict/update cycle from the previous filtered state: a one-step
+    :func:`forward_pass` started at ``prev``'s intensity and error variance."""
+    rho, mu = spec.params.rho, spec.params.mu_lambda
+    obs = spec_coefficients(spec)
+    lam_f, cf, cp, gain, jvar, clamped = forward_pass(
+        np.array([float(y)]), obs, rho, mu, spec.params.sigma2_lambda,
+        prev.lambda_filtered, c0=prev.error_var,
+    )
     pred = rho * prev.lambda_filtered + (1.0 - rho) * mu
-    cp = rho**2 * prev.error_var + (1.0 - rho**2) * s2
-    denom = a1**2 * cp + noise
-    gain = a1 * cp / denom if denom > 0 else 0.0
-    innovation = y - a0 - a1 * pred
-    lam_f = pred + gain * innovation
-    cf = (1.0 - gain * a1) * cp
-    clamped = lam_f <= 0
-    if clamped:
-        lam_f = CLAMP_EPS
-    state = FilterState(lam_f, cf)
     step = FilterStep(
         prediction=pred,
-        pred_var=cp,
-        gain=gain,
-        innovation=innovation,
-        innovation_var=denom,
-        clamped=clamped,
+        pred_var=float(cp[0]),
+        gain=float(gain[0]),
+        innovation=y - obs.a0 - obs.a1 * pred,
+        innovation_var=float(jvar[0]),
+        clamped=bool(clamped[0]),
     )
-    return state, step
+    return FilterState(float(lam_f[0]), float(cf[0])), step
 
 
 def variance_path(
-    n: int, a1: float, rho: float, sigma2: float, noise: float
+    n: int, a1: float, rho: float, sigma2: float, noise: float, c0: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Data-independent variance recursion: (C_{t|t-1}, K_t, J_t, C_{t|t}) arrays
-    for observation slope ``a1`` and noise variance ``noise``.
+    for observation slope ``a1``, noise variance ``noise`` and prior error
+    variance ``c0`` (0 gives C_{1|0} = (1-rho^2)*sigma2 exactly).
 
     The recursion contracts geometrically, so it is iterated only until the
     gain stabilizes and then held at its fixed point.
@@ -175,7 +152,7 @@ def variance_path(
     gain = np.empty(n)
     jvar = np.empty(n)
     cf = np.empty(n)
-    c_prev = 0.0  # so that C_{1|0} = (1-rho^2)*sigma2 exactly
+    c_prev = c0
     k_last = np.inf
     for t in range(n):
         c_pred = rho**2 * c_prev + (1.0 - rho**2) * sigma2
@@ -198,16 +175,17 @@ def variance_path(
 
 def forward_pass(
     yf: np.ndarray, obs: ObsCoefficients, rho: float, mu: float, sigma2: float,
-    lam0: float,
+    lam0: float, c0: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array-level filter core: (lam_f, cf, cp, gain, jvar, clamped).
+    """Array-level filter core: (lam_f, cf, cp, gain, jvar, clamped), started
+    from the filtered intensity ``lam0`` with error variance ``c0``.
 
     Exact recursion; the constant-gain tail (after the variance recursion has
     stabilized) runs through a linear filter for speed.
     """
     n = len(yf)
     a0, a1, noise = obs
-    cp, gain, jvar, cf = variance_path(n, a1, rho, sigma2, noise)
+    cp, gain, jvar, cf = variance_path(n, a1, rho, sigma2, noise, c0)
     # lhat_{t|t} = (1 - K_t*a1) * (rho*lhat_{t-1} + (1-rho)*mu) + K_t*(y_t - a0)
     shrink = 1.0 - gain * a1
     y0 = yf - a0

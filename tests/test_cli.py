@@ -145,6 +145,23 @@ class TestFitCommand:
         assert rc == EXIT_CONFIG
 
 
+    def test_deflated_bootstrap(self, tmp_path):
+        # refits of a deflated fit draw the truncated law, as the data were
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, n=1000, seed=0, on_infeasible="truncate", bootstrap={"reps": 4},
+                     model={"family": "zmp", "intensity": "gar1", "omega": -0.2,
+                            "rho": 0.8, "beta": 2.0, "p": 4.0})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rc = main(["fit", "--config", str(cfg), "--data", str(out / "counts.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        doc = json.loads((out / "fit.json").read_text())
+        assert doc["estimates"]["omega"] < 0
+        assert set(doc["se"]) == {"omega", "rho", "beta", "p", "a"}
+        assert all(np.isfinite(v) for v in doc["se"].values())
+
+
 class TestDiagnoseCommand:
     def test_bundle(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,20 +7,15 @@ from zmcounts.errors import EstimationError, InfeasibleInitError
 from zmcounts.estimation import (
     SampleMoments,
     _FitCore,
-    bootstrap_se,
     default_init,
     ef_components,
-    estimate_sigma2,
     fit,
     grid_search_init,
     moment_init_ear1,
     moment_init_gar1_factorial,
-    quadratic_ef_value,
-    sigma2_from_count_variance,
     solve_ef_block,
-    solve_quadratic_ef,
 )
-from zmcounts.experiments import ExperimentRow, run_replicate
+from zmcounts.experiments import ExperimentRow, bootstrap_se, run_replicate
 from zmcounts.filtering import gkf_filter
 from zmcounts.intensity import IntensityFamily, simulate_intensity
 from zmcounts.io import write_fit_json
@@ -30,8 +25,6 @@ from zmcounts.observation import (
     Params,
     marginal_zero_prob,
     zmp_zero_mass_omega,
-    zm_pmf_vector,
-    zm_quadratic_variance,
     zm_sample,
 )
 
@@ -86,79 +79,6 @@ class TestEFComponents:
         w, mu, rho = 0.2, 2.0, 0.8
         rhs = -rho / (1 - w) * g3 - mu / ((1 - w) * (1 - rho)) * g2
         assert g1 == pytest.approx(rhs, rel=1e-10)
-
-
-class TestSigma2:
-    def test_deterministic_ar_path_gives_zero(self):
-        rho, mu = 0.6, 2.0
-        lam = np.empty(50)
-        lam[0] = 1.0
-        for t in range(1, 50):
-            lam[t] = rho * lam[t - 1] + (1 - rho) * mu
-        assert estimate_sigma2(lam, rho, mu) == pytest.approx(0.0, abs=1e-25)
-
-    def test_consistent_on_latent_truth(self):
-        rng = np.random.default_rng(34)
-        lam = simulate_intensity(SPEC.intensity, 100_000, rng)
-        assert estimate_sigma2(lam, 0.8, 2.0) == pytest.approx(1.0, rel=0.03)
-
-    def test_rho0_reduces_to_mean_square(self):
-        x = np.array([1.0, 2.0, 3.0, 2.0])
-        expected = np.mean((x[1:] - 2.0) ** 2)
-        assert estimate_sigma2(x, 0.0, 2.0) == pytest.approx(expected)
-
-    def test_count_variance_inversion(self):
-        # round trip through the unconditional variance identity
-        spec = SPEC
-        from zmcounts.observation import marginal_count_moments
-
-        _, var = marginal_count_moments(spec)
-        s2 = sigma2_from_count_variance(var, 0.2, 2.0)
-        assert s2 == pytest.approx(1.0, rel=1e-12)
-
-
-class TestQuadraticEF:
-    def test_varq_matches_brute_force(self):
-        pp = Params(omega=0.2, rho=0.5, beta=1.0, p=1.0, a=0.5, c=1)
-        lam = 2.0
-        pmf = zm_pmf_vector(CountFamily.ZMNB, 3000, lam, pp)
-        ks = np.arange(3001)
-        mean = (1 - pp.omega) * lam
-        mu4 = np.sum((ks - mean) ** 4 * pmf)
-        var = np.sum((ks - np.sum(ks * pmf)) ** 2 * pmf)
-        assert zm_quadratic_variance(CountFamily.ZMNB, lam, pp) == pytest.approx(
-            mu4 - var**2, rel=1e-7
-        )
-
-    def test_boundary_solution_on_poisson_like_data(self):
-        # true-intensity substitution: data generated with a -> 0 pushes the
-        # dispersion root to the lower boundary
-        spec = ModelSpec.create("zmnb", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0, a=1e-6, c=1)
-        rng = np.random.default_rng(35)
-        lam = simulate_intensity(spec.intensity, 20_000, rng)
-        y = zm_sample(spec.family, lam, spec.params, rng)
-        a_hat = solve_quadratic_ef(y, lam, spec.params, a_max=10.0)
-        assert a_hat == pytest.approx(1e-4, abs=5e-3)
-
-    def test_root_recovery_on_latent_truth(self):
-        # with the true intensities substituted the quadratic EF is unbiased
-        spec = ModelSpec.create("zmnb", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0, a=0.5, c=1)
-        rng = np.random.default_rng(36)
-        lam = simulate_intensity(spec.intensity, 50_000, rng)
-        y = zm_sample(spec.family, lam, spec.params, rng)
-        a_hat = solve_quadratic_ef(y, lam, spec.params, a_max=10.0)
-        assert a_hat == pytest.approx(0.5, abs=0.1)
-
-    def test_value_sign_convention(self):
-        spec = ModelSpec.create("zmnb", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0, a=0.5, c=1)
-        rng = np.random.default_rng(37)
-        lam = simulate_intensity(spec.intensity, 50_000, rng)
-        y = zm_sample(spec.family, lam, spec.params, rng)
-        from dataclasses import replace
-
-        low = quadratic_ef_value(y, lam, replace(spec.params, a=0.05))
-        high = quadratic_ef_value(y, lam, replace(spec.params, a=3.0))
-        assert low < 0 < high
 
 
 class TestInitializers:
@@ -416,12 +336,12 @@ class TestFitEngine:
 
 class TestBootstrap:
     def test_untyped_errors_propagate(self, monkeypatch):
-        from zmcounts import estimation
+        from zmcounts import experiments
 
         def broken(*args, **kwargs):
             raise ValueError("not a fit failure")
 
-        monkeypatch.setattr(estimation, "fit", broken)
+        monkeypatch.setattr(experiments, "fit", broken)
         spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.7, beta=1.0, p=2.0)
         with pytest.raises(ValueError, match="not a fit failure"):
             bootstrap_se(spec, n=100, reps=2, rng=np.random.default_rng(0))
@@ -481,6 +401,19 @@ class TestDeflatedFitPieces:
         core = _FitCore(y, CountFamily.ZMP, False, 0.0, 1, p0)
         assert core.tied_omega(2.0, 1.0) == pytest.approx(-0.5, abs=1e-10)
         assert core.deviance(-0.5, 2.0, 0.8, 1.0) < 1e3
+
+    def test_omega_at_tie_bound_is_reported(self):
+        # the fit's omega is reported as the tie left it, with a note, rather
+        # than moved afterwards onto the unclipped law's feasibility bound
+        spec = ModelSpec.create("zmp", "gar1", omega=-0.3, rho=0.5, beta=1.0, p=8.0)
+        rng = np.random.default_rng(3)
+        lam = simulate_intensity(spec.intensity, 1000, rng)
+        y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate")
+        res = fit(y, "zmp", "gar1")
+        ph = res.params_hat
+        core = _FitCore(y.astype(float), CountFamily.ZMP, False, 0.0, 1, float(np.mean(y == 0)))
+        assert ph.omega == core.tied_omega(ph.mu_lambda, ph.sigma2_lambda) == -0.95
+        assert res.notes == ["omega ended at the bound -0.95 of its zero-mass tie"]
 
     def test_deflated_fit_stores_standardized_residuals(self):
         # residuals of a deflated fit are standardized by the clipped law at

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmcounts.filtering import (
     FilterState,
@@ -7,10 +9,9 @@ from zmcounts.filtering import (
     gkf_init,
     gkf_step,
     variance_path,
-    vbar,
 )
 from zmcounts.intensity import simulate_intensity
-from zmcounts.observation import ModelSpec, zm_sample
+from zmcounts.observation import CountFamily, ModelSpec, vbar_from, zm_sample
 
 SPEC = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0)
 
@@ -35,18 +36,19 @@ GOLDEN = {
 
 
 class TestVbar:
+    # stationary intensity moments mu = 2, sigma2 = 1 (beta 2, p 4)
     def test_zmp_omega0(self):
-        spec = ModelSpec.create("zmp", "gar1", omega=0.0, rho=0.5, beta=2.0, p=4.0)
-        assert vbar(spec) == pytest.approx(2.0)
+        assert vbar_from(CountFamily.ZMP, 0.0, 2.0, 1.0) == pytest.approx(2.0)
 
     def test_zmnb_reduces_to_zmp_as_a_vanishes(self):
-        zmp = ModelSpec.create("zmp", "gar1", omega=0.3, rho=0.5, beta=2.0, p=4.0)
-        nb = ModelSpec.create("zmnb", "gar1", omega=0.3, rho=0.5, beta=2.0, p=4.0, a=1e-12, c=1)
-        assert vbar(nb) == pytest.approx(vbar(zmp), rel=1e-9)
+        zmp = vbar_from(CountFamily.ZMP, 0.3, 2.0, 1.0)
+        for c in (0, 1):
+            nb = vbar_from(CountFamily.ZMNB, 0.3, 2.0, 1.0, a=1e-12, c=c)
+            assert nb == pytest.approx(zmp, rel=1e-9)
+            assert vbar_from(CountFamily.ZMNB, 0.3, 2.0, 1.0, a=0.0, c=c) == zmp
 
     def test_zmnb_c1_value(self):
-        spec = ModelSpec.create("zmnb", "gar1", omega=0.2, rho=0.5, beta=2.0, p=4.0, a=0.5, c=1)
-        assert vbar(spec) == pytest.approx(2 + 0.7 * 5)
+        assert vbar_from(CountFamily.ZMNB, 0.2, 2.0, 1.0, a=0.5, c=1) == pytest.approx(2 + 0.7 * 5)
 
 
 class TestInit:
@@ -109,6 +111,37 @@ class TestFullPass:
             state, step = gkf_step(state, y[t], SPEC)
             assert res.lambda_filtered[t] == pytest.approx(state.lambda_filtered, rel=1e-12)
             assert res.error_var[t] == pytest.approx(state.error_var, rel=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ear1=st.booleans(),
+        omega=st.floats(-0.5, 0.9),
+        rho=st.floats(0.0, 0.95),
+        beta=st.floats(0.5, 4.0),
+        p=st.floats(0.5, 8.0),
+    )
+    def test_iterated_step_equals_filter(self, seed, ear1, omega, rho, beta, p):
+        spec = ModelSpec.create(
+            "zmp", "ear1" if ear1 else "gar1", omega=omega, rho=rho, beta=beta,
+            p=1.0 if ear1 else p,
+        )
+        # the filter takes any count series; iid intensities from the
+        # stationary law keep the draw independent of the chain simulator
+        rng = np.random.default_rng(seed)
+        lam = rng.gamma(spec.params.p, 1.0 / beta, 40)
+        y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate")
+        res = gkf_filter(y, spec)
+        state = FilterState(spec.params.mu_lambda, 0.0)
+        for t in range(len(y)):
+            state, step = gkf_step(state, y[t], spec)
+            # absolute slack for deflated laws, whose a0 can cancel an update
+            # down to the positivity floor
+            lam_t = res.lambda_filtered[t]
+            assert state.lambda_filtered == pytest.approx(lam_t, rel=1e-12, abs=1e-12)
+            assert state.error_var == pytest.approx(res.error_var[t], rel=1e-12)
+            assert step.prediction == pytest.approx(res.prediction[t], rel=1e-12, abs=1e-12)
+            assert step.gain == pytest.approx(res.gain[t], rel=1e-12)
 
     def test_constant_series_rho0_steady(self):
         spec = ModelSpec.create("zmp", "gar1", omega=0.1, rho=0.0, beta=2.0, p=4.0)

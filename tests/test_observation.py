@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import gammainccinv
@@ -23,7 +25,6 @@ from zmcounts.observation import (
     vbar_from,
     zm_pmf,
     zm_pmf_vector,
-    zm_quadratic_variance,
     zm_sample,
     zmnb_fourth_central_moment,
 )
@@ -138,10 +139,8 @@ class TestFourthMoment:
     )
     def test_brute_force_oracle(self, lam, omega, a, c):
         pp = params(omega=omega, a=a, c=c)
-        _, _, v_bf, mu4_bf = brute_moments(ZMNB, lam, pp, kmax=3000)
+        _, _, _, mu4_bf = brute_moments(ZMNB, lam, pp, kmax=3000)
         assert zmnb_fourth_central_moment(lam, pp) == pytest.approx(mu4_bf, rel=1e-8)
-        quad = zm_quadratic_variance(ZMNB, lam, pp)
-        assert quad == pytest.approx(mu4_bf - v_bf**2, rel=1e-7)
 
 
 class TestMarginalMoments:
@@ -162,13 +161,44 @@ class TestMarginalMoments:
         assert var == pytest.approx(2 * 2.0 + 1.0)
 
     def test_monte_carlo_check(self):
-        spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0)
-        rng = np.random.default_rng(11)
-        lam = simulate_intensity(spec.intensity, 100_000, rng)
-        y = zm_sample(spec.family, lam, spec.params, rng)
-        mean, var = marginal_count_moments(spec)
-        assert abs(y.mean() - mean) < 0.03
-        assert abs(y.var() - var) < 0.1
+        # the second spec is the criterion-2 row, drawn from the truncated law
+        for omega in (0.2, -0.2):
+            spec = ModelSpec.create("zmp", "gar1", omega=omega, rho=0.8, beta=2.0, p=4.0)
+            rng = np.random.default_rng(11)
+            lam = simulate_intensity(spec.intensity, 100_000, rng)
+            y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate")
+            mean, var = marginal_count_moments(spec)
+            assert abs(y.mean() - mean) < 0.03
+            assert abs(y.var() - var) < 0.1
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        zmnb=st.booleans(),
+        c=st.sampled_from([0, 1]),
+        omega=st.floats(0.0, 0.9),
+        rho=st.floats(0.0, 0.95),
+        beta=st.floats(0.1, 5.0),
+        p=st.floats(0.1, 10.0),
+        a=st.floats(0.01, 3.0),
+    )
+    def test_closed_forms_without_deflation(self, zmnb, c, omega, rho, beta, p, a):
+        # the per-family closed forms of the unclipped law, exact for omega >= 0
+        a = a if zmnb else 0.0
+        spec = ModelSpec.create(
+            "zmnb" if zmnb else "zmp", "gar1", omega=omega, rho=rho, beta=beta, p=p, a=a, c=c
+        )
+        w, mu, s2 = omega, p / beta, p / beta**2
+        if not zmnb:
+            var = (1.0 - w) * (mu + s2 + w * mu**2)
+        elif c == 0:
+            var = (1.0 - w) * ((1.0 + a) * mu + s2 + w * mu**2)
+        else:
+            var = (1.0 - w) * (mu + (a + 1.0) * s2 + (w + a) * mu**2)
+        mean, v = marginal_count_moments(spec)
+        assert mean == pytest.approx((1.0 - w) * mu, rel=1e-12)
+        assert v == pytest.approx(var, rel=1e-12)
+        acf1 = (1.0 - w) * s2 * rho / (var / (1.0 - w))
+        assert count_acf(spec, 1) == pytest.approx(acf1, rel=1e-12, abs=1e-300)
 
 
 class TestCountAcf:
@@ -190,15 +220,17 @@ class TestCountAcf:
         assert count_acf(spec, 200) == pytest.approx(0.0, abs=1e-15)
 
     def test_sample_acf_match(self):
-        spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0)
-        rng = np.random.default_rng(12)
-        lam = simulate_intensity(spec.intensity, 1_000_000, rng)
-        y = zm_sample(spec.family, lam, spec.params, rng).astype(float)
-        yc = y - y.mean()
-        denom = np.sum(yc**2)
-        for k in range(1, 6):
-            rk = np.sum(yc[:-k] * yc[k:]) / denom
-            assert abs(rk - count_acf(spec, k)) < 0.02
+        # the second spec is the criterion-2 row, drawn from the truncated law
+        for omega in (0.2, -0.2):
+            spec = ModelSpec.create("zmp", "gar1", omega=omega, rho=0.8, beta=2.0, p=4.0)
+            rng = np.random.default_rng(12)
+            lam = simulate_intensity(spec.intensity, 1_000_000, rng)
+            y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate")
+            yc = y - y.mean()
+            denom = np.sum(yc**2)
+            for k in range(1, 6):
+                rk = np.sum(yc[:-k] * yc[k:]) / denom
+                assert abs(rk - count_acf(spec, k)) < 0.02
 
 
 class TestFeasibleInterval:
