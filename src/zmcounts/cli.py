@@ -129,14 +129,14 @@ def cmd_fit(args) -> int:
     model = cfg.get("model", {})
     fit_cfg = cfg.get("fit", {})
     y = io.read_counts_csv(args.data, column=args.column)
+    options = {
+        "tol": float(fit_cfg.get("tol", 1e-6)),
+        "max_iter": int(fit_cfg.get("max_iter", 500)),
+        "a_max": float(fit_cfg.get("a_max", 10.0)),
+    }
     result = fit(
-        y,
-        model.get("family", "zmp"),
-        model.get("intensity", "gar1"),
-        c=int(model.get("c", 1)),
-        tol=float(fit_cfg.get("tol", 1e-6)),
-        max_iter=int(fit_cfg.get("max_iter", 500)),
-        a_max=float(fit_cfg.get("a_max", 10.0)),
+        y, model.get("family", "zmp"), model.get("intensity", "gar1"),
+        c=int(model.get("c", 1)), **options,
     )
     out = _outdir(args)
     se = None
@@ -145,7 +145,9 @@ def cmd_fit(args) -> int:
     if reps:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         rng = np.random.default_rng(int(seed))
-        se = bootstrap_se(result.spec, n=len(y), reps=reps, rng=rng, jobs=args.jobs).se
+        se = bootstrap_se(
+            result.spec, n=len(y), reps=reps, rng=rng, jobs=args.jobs, **options
+        ).se
     io.write_fit_json(out / "fit.json", result, se=se)
     filt = gkf_filter(y, result.spec)
     io.write_filtered_csv(out / "filtered.csv", y, filt)

@@ -16,9 +16,13 @@ differently: it minimizes the innovation quasi-deviance ``sum(h^2/J + log J)``
 over the intensity parameters, augmented by standardized whiteness and level
 orthogonality conditions, with the zero-modification parameter tied to the
 model's exact marginal zero-mass identity and the ZMNB dispersion solved from
-an innovation-variance condition.  ``(beta, p)`` are recovered as
-``beta = mu/sigma2``, ``p = mu*beta``.  Moment-based initializers (closed form
-where available, grid search otherwise) provide starting points.
+an innovation-variance condition.  The objective's exact gradient, the chain
+rule through the zero-mass tie (implicit derivative), the observation
+coefficients and the filter (:func:`~zmcounts.filtering.forward_adjoint`), is
+the estimating-equation system the bounded quasi-Newton solve drives to
+zero.  ``(beta, p)`` are recovered as ``beta = mu/sigma2``, ``p = mu*beta``.
+Moment-based initializers (closed form where available, grid search
+otherwise) provide starting points.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .errors import EstimationError, InfeasibleInitError, InvalidSpecError
-from .filtering import forward_pass, gkf_filter, variance_path
+from .filtering import forward_adjoint, forward_pass, gkf_filter, variance_path
 from .intensity import IntensityFamily
 from .observation import (
     CountFamily,
@@ -50,6 +54,7 @@ _RHO_MAX = 0.999
 _OMEGA_MIN = -0.95
 _OMEGA_MAX = 0.999
 _A_MIN = 1e-4
+# relative step of the central differences
 _JAC_STEP = 1e-5
 _BIG = 1e18
 
@@ -95,6 +100,7 @@ class FitResult:
     family: CountFamily
     intensity_family: IntensityFamily
     iterations: int
+    n_eval: int
     converged: bool
     trace: list[Params]
     filtered: np.ndarray
@@ -133,6 +139,7 @@ class FitResult:
             "family": self.family.value,
             "intensity_family": self.intensity_family.value,
             "iterations": self.iterations,
+            "n_eval": self.n_eval,
             "converged": self.converged,
             "grad_norm": self.grad_norm,
             "notes": self.notes,
@@ -141,6 +148,22 @@ class FitResult:
                 for t in self.trace
             ],
         }
+
+
+@dataclass(frozen=True)
+class _Solve:
+    """One bounded solve at fixed dispersion: the estimates, whether the
+    solver converged, and its iteration and objective-and-gradient
+    evaluation counts."""
+
+    w: float
+    mu: float
+    rho: float
+    sigma2: float
+    converged: bool
+    n_iter: int
+    n_eval: int
+    grad_norm: float
 
 
 def _theta_params(omega, mu, rho, sigma2, a, c) -> Params:
@@ -349,7 +372,7 @@ class _FitCore:
         self.p0hat = p0hat
         self.per_step = False
 
-    def deviance(self, w, mu, rho, sigma2):
+    def deviance(self, w, mu, rho, sigma2, tangents=None):
         """Innovation quasi-deviance plus the innovation-whiteness quadratic.
 
         The prediction-error deviance alone is blind to serial correlation of
@@ -362,12 +385,17 @@ class _FitCore:
         with ``per_step``, the predictive variance at each step's prediction.
         A fit keeps one choice throughout: switching at omega = 0 would put a
         jump in the deviance there that draws the fit to omega = 0.
+
+        With ``tangents``, a (k, 4) array whose rows are derivatives of
+        (omega, mu, rho, sigma2) along k directions, returns the value and its
+        k directional derivatives (zeros where the value is ``_BIG``).
         """
+        flat = _BIG if tangents is None else (_BIG, np.zeros(len(tangents)))
         if not (w < 1.0 and mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
-            return _BIG
+            return flat
         obs = observation_coefficients(self.family, w, mu, sigma2, self.a, self.c)
         if not obs.noise > 0:
-            return _BIG
+            return flat
         out = forward_pass(self.yf, obs, rho, mu, sigma2, mu)
         lam_f, cp = out[0], out[2]
         prev = np.concatenate([[mu], lam_f[:-1]])
@@ -382,17 +410,110 @@ class _FitCore:
             jvar = (1.0 - w) ** 2 * cp + (1.0 - w) * v_t
         else:
             jvar = out[4]
-        hs = h / np.sqrt(jvar)
+        root = np.sqrt(jvar)
+        hs = h / root
+        r, inv = h / jvar, 1.0 / jvar
+        white_sum = np.sum(hs[1:] * hs[:-1])
         q = float(np.mean(h**2 / jvar + np.log(jvar)))
         # whiteness and level orthogonality conditions, each standardized so
         # the contribution at the truth is O(chi2_1/n)
-        q += float(np.sum(hs[1:] * hs[:-1]) ** 2) / self.n**2
-        q += float(np.sum(h / jvar) ** 2 / np.sum(1.0 / jvar)) / self.n
-        return q if np.isfinite(q) else _BIG
+        q += float(white_sum**2) / self.n**2
+        q += float(np.sum(r) ** 2 / np.sum(inv)) / self.n
+        if not np.isfinite(q):
+            return flat
+        if tangents is None:
+            return q
+        # (g_h, g_j): the gradient of q in (h, J), with r = h/J
+        n = self.n
+        nbr = np.zeros(n)  # hs_{t-1} + hs_{t+1}
+        nbr[1:] += hs[:-1]
+        nbr[:-1] += hs[1:]
+        white = float(white_sum) / n
+        level = float(np.sum(r) / np.sum(inv))
+        m = r + white * nbr / root + level * inv
+        g_h = (2.0 / n) * m
+        g_j = (inv - r * m + level * inv * (level * inv - r)) / n
+        # chain rule through h = y - a0 - a1*pred and J to the filter's
+        # outputs (pred, cp, jvar), whose weights forward_adjoint carries
+        # back to (a0, a1, noise, rho, mu, sigma2, lam0 = mu)
+        d_obs = self.coefficient_tangents(w, mu, sigma2, obs, tangents)
+        direct = -d_obs[:, 0] * float(g_h.sum()) - d_obs[:, 1] * float(g_h @ pred)
+        w_pred = -obs.a1 * g_h
+        if self.per_step:
+            # J = (1-w)^2*cp + (1-w)*v_t; the floor of v_t holds its value
+            g_v = np.where(v_t > 1e-8, (1.0 - w) * g_j, 0.0)
+            weights = (
+                w_pred + g_v * (1.0 + 2.0 * w * pred), (1.0 - w) ** 2 * g_j + w * g_v,
+                np.zeros(n),
+            )
+            direct += tangents[:, 0] * float(
+                g_v @ (pred**2 + cp) - g_j @ (v_t + 2.0 * (1.0 - w) * cp)
+            )
+        else:
+            weights = (w_pred, np.zeros(n), g_j)
+        grad = forward_adjoint(self.yf, obs, rho, mu, sigma2, mu, out, weights)
+        return q, direct + d_obs @ grad[:3] + tangents[:, [2, 1, 3, 1]] @ grad[3:]
+
+    def coefficient_tangents(self, w, mu, sigma2, obs, tangents):
+        """Derivatives of the observation coefficients (a0, a1, noise) along
+        each row of ``tangents`` (see :meth:`deviance`): closed form
+        (0, -dw, d((1-w)*vbar)) for omega >= 0, central differences of
+        :func:`observation_coefficients` along the row below."""
+        moves = tangents[:, [0, 1, 3]]  # (omega, mu, sigma2)
+        if w >= 0.0:
+            dw, dmu, dsig = moves.T
+            # vbar is a polynomial, so a complex step gives its derivative to
+            # rounding without a second copy of the formula
+            step = 1e-20
+            dvb = vbar_from(
+                self.family, w + 1j * step * dw, mu + 1j * step * dmu,
+                sigma2 + 1j * step * dsig, self.a, self.c,
+            ).imag / step
+            vb = obs.noise / (1.0 - w)  # noise = (1-w)*vbar
+            return np.column_stack([np.zeros(len(moves)), -dw, (1.0 - w) * dvb - dw * vb])
+        theta = np.array([w, mu, sigma2])
+        out = np.zeros((len(moves), 3))
+        for i, move in enumerate(moves):
+            if move.any():
+                step = _JAC_STEP / np.max(np.abs(move) / np.maximum(np.abs(theta), 1e-3))
+                hi = observation_coefficients(self.family, *(theta + step * move), self.a, self.c)
+                lo = observation_coefficients(self.family, *(theta - step * move), self.a, self.c)
+                out[i] = (np.array(hi) - np.array(lo)) / (2.0 * step)
+        return out
 
     def zeros_resid(self, w, mu, sigma2):
         beta = mu / sigma2
         return self.p0hat - marginal_zero_prob(self.family, w, beta, mu * beta, self.a, self.c)
+
+    def tie_slope(self, w, mu, sigma2):
+        """(d omega/d mu, d omega/d sigma2) along the zero-mass tie at its
+        root ``w``: the implicit derivative -(dP0/dtheta)/(dP0/domega) of the
+        marginal zero mass P0, and zero where the tie is pinned at a bound.
+
+        For ZMP at omega >= 0, P0 = omega + (1-omega)*Z with
+        Z = (beta/(beta+1))^p in closed form; otherwise P0's partials are
+        central differences of :func:`marginal_zero_prob`."""
+        if not _OMEGA_MIN < w < _OMEGA_MAX:
+            return 0.0, 0.0
+        if self.family == CountFamily.ZMP and w >= 0.0:
+            beta = mu / sigma2
+            p = mu * beta
+            log_z = p * (math.log(beta) - math.log(beta + 1.0))
+            z = math.exp(log_z)
+            scale = -(1.0 - w) * z / (1.0 - z)  # times d log Z
+            return (
+                scale * (beta / (beta + 1.0) + 2.0 * log_z / mu),
+                -scale * (p / (beta + 1.0) + log_z) / sigma2,
+            )
+        theta = np.array([w, mu, sigma2])
+        grad = np.empty(3)  # of the residual p0hat - P0, whose ratios are P0's
+        for i in range(3):
+            step = _JAC_STEP * max(abs(theta[i]), 1e-3)
+            hi, lo = theta.copy(), theta.copy()
+            hi[i] += step
+            lo[i] -= step
+            grad[i] = (self.zeros_resid(*hi) - self.zeros_resid(*lo)) / (2.0 * step)
+        return -grad[1] / grad[0], -grad[2] / grad[0]
 
     def tied_omega(self, mu, sigma2):
         """Zero-mass root in omega at fixed (mu, sigma2).
@@ -423,36 +544,47 @@ class _FitCore:
 
     def objective(self, x):
         """Penalized deviance over (mu, rho[, sigma2]) with omega tied to the
-        zero-mass identity; fully joint, so no alternation path-dependence."""
+        zero-mass identity, and its gradient in x; fully joint, so no
+        alternation path-dependence.  The gradient is the chain rule through
+        the tie (:meth:`tie_slope`) and the deviance (:meth:`deviance`)."""
         if self.ear1:
             mu, rho = x
             sigma2 = mu**2
         else:
             mu, rho, sigma2 = x
         if not (mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
-            return _BIG
+            return _BIG, np.zeros(len(x))
         w = self.tied_omega(mu, sigma2)
         if w is None:
-            return _BIG
-        return self.deviance(w, mu, rho, sigma2)
+            return _BIG, np.zeros(len(x))
+        w_mu, w_s2 = self.tie_slope(w, mu, sigma2)
+        # rows: d(omega, mu, rho, sigma2) along each component of x
+        if self.ear1:
+            tangents = np.array([[w_mu + 2.0 * mu * w_s2, 1.0, 0.0, 2.0 * mu],
+                                 [0.0, 0.0, 1.0, 0.0]])
+        else:
+            tangents = np.array([[w_mu, 1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0, 0.0],
+                                 [w_s2, 0.0, 0.0, 1.0]])
+        return self.deviance(w, mu, rho, sigma2, tangents)
 
-    def run(self, w0, mu0, rho0, sigma20, tol, max_iter):
+    def run(self, w0, mu0, rho0, sigma20, tol, max_iter) -> _Solve:
         """Bounded quasi-Newton minimization of :meth:`objective`.
 
-        L-BFGS-B on finite-difference gradients, started from the point
+        L-BFGS-B on the objective's analytic gradient, started from the point
         clipped into the bounds, stops once the projected gradient's max-norm
         is at most ``tol`` (or the objective's relative decrease falls below
-        1e-15) and gives up after ``max_iter`` iterations.  Returns
-        (w, mu, rho, sigma2, converged, n_iter, grad_norm); ``grad_norm`` is
+        1e-15) and gives up after ``max_iter`` iterations.  ``grad_norm`` is
         the max-norm of the final gradient with the components zeroed where
-        an active bound blocks descent.
+        an active bound blocks descent; ``w0`` stands in for omega if the tie
+        fails at the solution.
         """
         k = 2 if self.ear1 else 3
         lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k])
         upper = np.array([np.inf, _RHO_MAX, np.inf][:k])
         x0 = np.array([mu0, rho0, sigma20][:k])
         res = minimize(
-            self.objective, x0=x0, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+            self.objective, x0=x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
             options={"gtol": tol, "maxiter": max_iter, "ftol": 1e-15},
         )
         g = res.jac
@@ -467,40 +599,40 @@ class _FitCore:
         converged = bool(res.success and w is not None and res.fun < _BIG)
         if w is None:
             w = w0
-        return float(w), float(mu), float(rho), float(sigma2), converged, int(res.nit), grad_norm
+        return _Solve(
+            float(w), float(mu), float(rho), float(sigma2), converged, int(res.nit),
+            int(res.nfev), grad_norm,
+        )
 
-    def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter):
+    def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter) -> tuple[_Solve, float]:
         """Joint solve including the dispersion: a is the bracketed root of the
         innovation-variance condition, with (omega, mu, rho, sigma2) refit by
         :meth:`run` for every trial value so the root is the joint fixed
-        point.  Returns (w, mu, rho, sigma2, a, converged, grad_norm), the
-        last of the final refit."""
-        state = {"w": w0, "mu": mu0, "rho": rho0, "s2": sigma20}
-        anchor = dict(state)
+        point.  Every refit starts from the same point (w0, mu0, rho0,
+        sigma20), so the condition is a function of a alone.  Returns the
+        final refit, with the iterations and evaluations of every refit
+        summed, and a."""
+        solves = []
 
-        def refit(a, from_anchor=False):
+        def refit(a):
             self.a = a
-            src_state = anchor if from_anchor else state
-            w, mu, rho, sigma2, ok, _, gnorm = self.run(
-                src_state["w"], src_state["mu"], src_state["rho"], src_state["s2"],
-                tol, max_iter,
-            )
-            state.update(w=w, mu=mu, rho=rho, s2=sigma2, grad_norm=gnorm)
-            return ok
+            solves.append(self.run(w0, mu0, rho0, sigma20, tol, max_iter))
+            return solves[-1]
 
-        def gq(a, from_anchor=False):
+        def gq(a):
             # dispersion condition: innovation variance against its
             # model-implied level, exactly mean-zero at the truth; the raw
             # quadratic EF with filtered intensities substituted is biased to
             # a -> 0 because the post-update residual is shrunk by
             # (1 - K(1-omega)) while the claimed conditional variance is not
-            ok = refit(a, from_anchor)
-            w, mu, rho, sigma2 = state["w"], state["mu"], state["rho"], state["s2"]
-            obs = observation_coefficients(self.family, w, mu, sigma2, a, self.c)
-            lam_f, _, _, _, jvar, _ = forward_pass(self.yf, obs, rho, mu, sigma2, mu)
-            prev = np.concatenate([[mu], lam_f[:-1]])
-            h = self.yf - obs.a0 - obs.a1 * (rho * prev + (1.0 - rho) * mu)
-            return float(np.mean(h**2 / jvar - 1.0)), ok
+            sol = refit(a)
+            obs = observation_coefficients(self.family, sol.w, sol.mu, sol.sigma2, a, self.c)
+            lam_f, _, _, _, jvar, _ = forward_pass(
+                self.yf, obs, sol.rho, sol.mu, sol.sigma2, sol.mu
+            )
+            prev = np.concatenate([[sol.mu], lam_f[:-1]])
+            h = self.yf - obs.a0 - obs.a1 * (sol.rho * prev + (1.0 - sol.rho) * sol.mu)
+            return float(np.mean(h**2 / jvar - 1.0))
 
         grid = np.geomspace(_A_MIN, a_max, 10)
         start = float(np.clip(a0, _A_MIN, a_max))
@@ -509,7 +641,7 @@ class _FitCore:
         for idx in order:
             a = float(grid[idx])
             try:
-                vals[a] = gq(a, from_anchor=True)[0]
+                vals[a] = gq(a)
             except EstimationError:
                 vals[a] = np.nan
         pairs = sorted((a, v) for a, v in vals.items() if np.isfinite(v))
@@ -522,17 +654,14 @@ class _FitCore:
         ]
         boundary = False
         if brackets:
-            # the residual is evaluated with warm-started inner fits, so it is
-            # slightly stateful; plain bisection tolerates that where brentq
-            # would reject an inconsistent bracket
             a1, a2 = min(brackets, key=lambda b: abs(math.log(0.5 * (b[0] + b[1])) - math.log(start)))
-            v1 = gq(a1)[0]
+            v1 = vals[a1]
             for _ in range(40):
                 if a2 - a1 < 1e-4:
                     break
                 mid = 0.5 * (a1 + a2)
                 try:
-                    vm = gq(mid)[0]
+                    vm = gq(mid)
                 except EstimationError:
                     a2 = mid
                     continue
@@ -547,11 +676,13 @@ class _FitCore:
         else:
             a_hat = min(pairs, key=lambda t: abs(t[1]))[0]
             boundary = a_hat in (pairs[0][0], pairs[-1][0])
-        ok = refit(a_hat)
-        return (
-            state["w"], state["mu"], state["rho"], state["s2"], a_hat,
-            bool(ok and not boundary), state["grad_norm"],
-        )
+        sol = refit(a_hat)
+        return replace(
+            sol,
+            converged=sol.converged and not boundary,
+            n_iter=sum(s.n_iter for s in solves),
+            n_eval=sum(s.n_eval for s in solves),
+        ), a_hat
 
 
 def solve_ef_block(
@@ -599,14 +730,10 @@ def solve_ef_block(
         w_start = core.tied_omega(mu, sigma2)
         core.per_step = (cur.omega if w_start is None else w_start) >= 0.0
     if family == CountFamily.ZMNB:
-        w, mu, rho, sigma2, a, converged, grad_norm = core.run_zmnb(
-            w, mu, rho, sigma2, a, a_max, tol, max_iter
-        )
-        iterations = 1
+        sol, a = core.run_zmnb(w, mu, rho, sigma2, a, a_max, tol, max_iter)
     else:
-        w, mu, rho, sigma2, converged, iterations, grad_norm = core.run(
-            w, mu, rho, sigma2, tol, max_iter
-        )
+        sol = core.run(w, mu, rho, sigma2, tol, max_iter)
+    w, mu, rho, sigma2 = sol.w, sol.mu, sol.rho, sol.sigma2
     if w in (_OMEGA_MIN, _OMEGA_MAX):
         notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
     trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))
@@ -624,12 +751,13 @@ def solve_ef_block(
         params_hat=cur,
         family=family,
         intensity_family=ifam,
-        iterations=iterations,
-        converged=converged,
+        iterations=sol.n_iter,
+        n_eval=sol.n_eval,
+        converged=sol.converged,
         trace=trace,
         filtered=filt.lambda_filtered,
         residuals=residuals,
-        grad_norm=grad_norm,
+        grad_norm=sol.grad_norm,
         notes=notes,
     )
 

@@ -44,6 +44,10 @@ class ExperimentRow:
     a: float = 0.0
     c: int = 1
     on_infeasible: str = "raise"
+    # options of each replicate's fit
+    tol: float = 1e-6
+    max_iter: int = 500
+    a_max: float = 10.0
 
     def spec(self) -> ModelSpec:
         return ModelSpec.create(
@@ -80,7 +84,10 @@ def run_replicate(row: ExperimentRow, seed) -> dict | str:
     except InfeasibleOmegaError:
         return "infeasible_simulation"
     try:
-        res = fit(y, spec.family, spec.intensity.family, c=row.c)
+        res = fit(
+            y, spec.family, spec.intensity.family, c=row.c,
+            tol=row.tol, max_iter=row.max_iter, a_max=row.a_max,
+        )
     except InfeasibleInitError:
         return "infeasible_init"
     except EstimationError:
@@ -147,6 +154,9 @@ def bootstrap_se(
     rng: np.random.Generator,
     jobs: int = 1,
     seeds=None,
+    tol: float = 1e-6,
+    max_iter: int = 500,
+    a_max: float = 10.0,
 ) -> BootstrapResult:
     """Simulation-based standard errors: refit ``reps`` synthetic series of
     length n drawn from the fitted model and report the empirical standard
@@ -155,8 +165,9 @@ def bootstrap_se(
     Each refit is a :func:`run_replicate` of the fitted model's row, so series
     are drawn with ``on_infeasible="truncate"`` (the law a deflated fit
     describes) and failed refits are excluded and counted, as discarded
-    replicates are.  Explicit per-replicate ``seeds`` may be injected for
-    testing.
+    replicates are.  ``tol``, ``max_iter`` and ``a_max`` reach every refit
+    as they reach :func:`~zmcounts.estimation.fit`.  Explicit per-replicate
+    ``seeds`` may be injected for testing.
     """
     if reps < 2:
         raise InvalidSpecError(f"reps must be >= 2, got {reps}")
@@ -168,7 +179,7 @@ def bootstrap_se(
     row = ExperimentRow(
         spec_hat.family.value, spec_hat.intensity.family.value,
         omega=pp.omega, rho=pp.rho, beta=pp.beta, p=pp.p, n=n, replicates=reps,
-        a=pp.a, c=pp.c, on_infeasible="truncate",
+        a=pp.a, c=pp.c, on_infeasible="truncate", tol=tol, max_iter=max_iter, a_max=a_max,
     )
     ok = [o for o in _map_replicates(row, seeds, jobs) if isinstance(o, dict)]
     failed = reps - len(ok)

@@ -217,6 +217,93 @@ def forward_pass(
     return lam_f, cf, cp, gain, jvar, clamped
 
 
+def _fold(v: np.ndarray, s: int) -> np.ndarray:
+    """``v[:s]`` with the tail ``v[s:]`` summed into its last entry: the
+    weights of an array that is held at its value at s-1 from there on."""
+    out = v[:s].copy()
+    out[-1] += v[s:].sum()
+    return out
+
+
+def _backward(coef: np.ndarray, v: np.ndarray, last: float = 0.0) -> np.ndarray:
+    """x_t = v_t + coef_t*x_{t+1}, from x_{len-1} = v_{len-1} + coef_{len-1}*last
+    down to x_0, step by step."""
+    x = v.tolist()
+    acc = last
+    for t, c in zip(range(len(x) - 1, -1, -1), coef.tolist()[::-1]):
+        acc = x[t] + c * acc
+        x[t] = acc
+    return np.array(x)
+
+
+def forward_adjoint(
+    yf: np.ndarray, obs: ObsCoefficients, rho: float, mu: float, sigma2: float,
+    lam0: float, out, weights, c0: float = 0.0,
+) -> np.ndarray:
+    """Gradient of a weighted sum of :func:`forward_pass`'s outputs in its
+    inputs, by the adjoint (reverse) pass.
+
+    ``out`` is what :func:`forward_pass` returned at the same inputs and
+    ``weights`` = (w_pred, w_cp, w_jvar) are per-step weights of the
+    predictions pred_t = rho*lam_{t-1} + (1-rho)*mu (lam_{-1} = lam0), of
+    C_{t|t-1} and of J_t.  Returns the derivatives of
+    sum_t w_pred*pred + w_cp*cp + w_jvar*jvar in (a0, a1, noise, rho, mu,
+    sigma2, lam0); ``c0`` is held fixed.
+
+    The filtered path lam_t = s_t*pred_t + K_t*(y_t - a0), s_t = 1 - K_t*a1,
+    is linear in lam_{t-1} with pole rho*s_t, so its adjoint r_t =
+    w_pred_{t+1} + rho*s_{t+1}*r_{t+1} runs backward: through one linear
+    filter over the constant-gain tail and step by step over the transient.
+    The variance recursion C_{t|t} = noise*C_{t|t-1}/J_t,
+    C_{t+1|t} = rho^2*C_{t|t} + (1-rho^2)*sigma2 is held once the gain
+    settles, so its adjoint, with pole rho^2*s_t^2, runs backward over the
+    transient only, with the weights of the held tail summed into its last
+    step.
+    """
+    lam_f, cf, cp, gain, jvar, clamped = out
+    w_pred, w_cp, w_jvar = weights
+    n = len(yf)
+    a0, a1, _ = obs
+    moving = np.nonzero(np.diff(gain))[0]
+    s = min(int(moving[-1] + 2) if moving.size else 1, n)  # variances held from s-1
+    prev = np.concatenate([[lam0], lam_f[:-1]])
+    pred = rho * prev + (1.0 - rho) * mu
+    shrink = 1.0 - gain * a1
+    # filtered path
+    pole = rho * shrink
+    w = np.append(w_pred[1:], 0.0)
+    if clamped.any():  # rare: floored steps are constant
+        pole[clamped] = 0.0
+        r = _backward(np.append(pole[1:], 0.0), w)
+        r[clamped] = 0.0
+    else:  # the pole is constant from s-1 on
+        r = np.empty(n)
+        r[s - 1 :] = lfilter([1.0], [1.0, -pole[-1]], w[s - 1 :][::-1])[::-1]
+        r[: s - 1] = _backward(pole[1:s], w[: s - 1], r[s - 1])
+    rs = r * shrink
+    # variance recursion: weights of cp, J and K (K carries the path's dK
+    # terms, the innovation h_t = y_t - a0 - a1*pred_t times r_t)
+    b_cp, b_j = _fold(w_cp, s), _fold(w_jvar, s)
+    b_k = rho * _fold(r * (yf - a0 - a1 * pred), s)
+    k_t, c_t, j_t, f_t, s_t = gain[:s], cp[:s], jvar[:s], cf[:s], shrink[:s]
+    cp_bar = _backward(rho**2 * s_t**2, b_cp + a1**2 * b_j + a1 * s_t / j_t * b_k)
+    cf_bar = np.append(rho**2 * cp_bar[1:], 0.0)
+    cf_prev = np.concatenate([[c0], f_t[:-1]])
+    # each input's explicit part in the filtered path and, through the
+    # adjoint cp_bar, in the variance recursion
+    d_a0 = -rho * float(r @ gain)
+    d_a1 = -rho * float(r @ (pred * gain)) + float(
+        2.0 * a1 * (b_j @ c_t) + b_k @ (c_t / j_t * (1.0 - 2.0 * k_t * a1))
+        - 2.0 * cf_bar @ (k_t * f_t)
+    )
+    d_noise = float(b_j.sum() - b_k @ (k_t / j_t) + cf_bar @ k_t**2)
+    d_rho = float((rho * rs + w_pred) @ (prev - mu) + 2.0 * rho * cp_bar @ (cf_prev - sigma2))
+    d_mu = (1.0 - rho) * float(rho * rs.sum() + w_pred.sum())
+    d_sigma2 = (1.0 - rho**2) * float(cp_bar.sum())
+    d_lam0 = rho * (w_pred[0] + pole[0] * r[0])
+    return np.array([d_a0, d_a1, d_noise, d_rho, d_mu, d_sigma2, d_lam0])
+
+
 def gkf_filter(
     series, spec: ModelSpec, lambda0: float | None = None
 ) -> FilterResult:

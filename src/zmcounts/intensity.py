@@ -101,7 +101,7 @@ def gar1_innovation_sample(spec: IntensitySpec, rng: np.random.Generator, size=N
         )
     scalar = size is None
     n = 1 if scalar else int(np.prod(size))
-    counts = rng.poisson(spec.p * np.log(1.0 / spec.rho), n)
+    counts = rng.poisson(spec.p * -np.log(spec.rho), n)  # 1/rho overflows for subnormal rho
     total = int(counts.sum())
     # one flat draw for all summands, then segment sums
     terms = spec.rho ** rng.random(total) * rng.exponential(1.0 / spec.beta, total)

@@ -161,6 +161,19 @@ class TestFitCommand:
         assert set(doc["se"]) == {"omega", "rho", "beta", "p", "a"}
         assert all(np.isfinite(v) for v in doc["se"].values())
 
+    def test_bootstrap_refits_use_the_fit_block(self, tmp_path, capsys):
+        # refits take the config's max_iter, so none of them converges in
+        # one iteration and no standard errors are written
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, n=600, seed=3, fit={"max_iter": 1}, bootstrap={"reps": 4})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rc = main(["fit", "--config", str(cfg), "--data", str(out / "counts.csv"),
+                   "--out", str(out)])
+        assert rc == 4
+        assert "4/4 bootstrap refits failed" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
 
 class TestDiagnoseCommand:
     def test_bundle(self, tmp_path):

@@ -1,8 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize._numdiff import approx_derivative
 
+from zmcounts import estimation
 from zmcounts.errors import EstimationError, InfeasibleInitError
 from zmcounts.estimation import (
     SampleMoments,
@@ -316,7 +321,23 @@ class TestFitEngine:
         monkeypatch.setattr(_FitCore, "objective", counted)
         res = fit(self.criterion1_series(1), "zmp", "gar1")
         assert res.converged
-        assert len(calls) <= 200
+        # each evaluation returns the gradient too; this fit takes 22
+        assert len(calls) <= 40
+        assert res.n_eval == len(calls)
+
+    def test_n_eval_is_the_solver_count(self, monkeypatch):
+        seen = []
+        solve = estimation.minimize
+
+        def recorded(*args, **kwargs):
+            seen.append(solve(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(estimation, "minimize", recorded)
+        res = fit(self.criterion1_series(4), "zmp", "gar1")
+        assert len(seen) == 1
+        assert res.n_eval == seen[0].nfev
+        assert res.iterations == seen[0].nit
 
     def test_grad_norm_within_tol(self, tmp_path):
         res = fit(self.criterion1_series(2), "zmp", "gar1", tol=1e-6)
@@ -435,3 +456,70 @@ class TestDeflatedFitPieces:
         pooled = np.concatenate(pooled)
         assert abs(pooled.mean()) < 0.15
         assert 0.4 < pooled.var() < 1.0
+
+
+def fit_core(model, n, seed, per_step):
+    """A :class:`_FitCore` on a series drawn from ``model`` = (family,
+    intensity, omega, rho, beta, p, a), truncating where omega is infeasible."""
+    family, ifam, omega, rho, beta, p, a = model
+    spec = ModelSpec.create(family, ifam, omega=omega, rho=rho, beta=beta, p=p, a=a)
+    rng = np.random.default_rng(seed)
+    lam = simulate_intensity(spec.intensity, n, rng)
+    y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate").astype(float)
+    core = _FitCore(y, spec.family, ifam == "ear1", a, 1, float(np.mean(y == 0)))
+    core.per_step = per_step
+    return core
+
+
+class TestObjectiveGradient:
+    # objective values of the finite-difference engine at seeded points; the
+    # analytic gradient must leave them bit-identical
+    PINNED = [
+        (("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), True, (7.5, 0.7, 15.0), 4.047138018463497),
+        (("zmp", "gar1", -0.2, 0.8, 2.0, 4.0, 0.0), False, (2.1, 0.75, 1.1), 1.7878599638574084),
+        (("zmp", "ear1", 0.3, 0.7, 0.5, 1.0, 0.0), True, (2.2, 0.6), 2.519149893893033),
+        (("zmnb", "gar1", 0.3, 0.8, 0.5, 1.0, 0.5), False, (2.2, 0.75, 4.0), 2.9483830909278765),
+    ]
+
+    @pytest.mark.parametrize("model,per_step,x,value", PINNED)
+    def test_values_pinned(self, model, per_step, x, value):
+        assert fit_core(model, 400, 5, per_step).objective(np.array(x))[0] == value
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["zmp", "zmnb"]),
+        ear1=st.booleans(),
+        omega=st.sampled_from([-0.25, -0.1, 0.1, 0.3]),
+        rho=st.floats(0.3, 0.9),
+        per_step=st.booleans(),
+        shift=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    )
+    def test_gradient_matches_finite_differences(
+        self, seed, family, ear1, omega, rho, per_step, shift
+    ):
+        beta, p = (0.5, 1.0) if ear1 else (1.0, 3.0)
+        a = 0.4 if family == "zmnb" else 0.0
+        core = fit_core(
+            (family, "ear1" if ear1 else "gar1", omega, rho, beta, p, a), 200, seed, per_step
+        )
+        mu, sigma2 = p / beta * math.exp(shift[0]), p / beta**2 * math.exp(shift[2])
+        x = np.array([mu, rho + 0.3 * shift[1]] + ([] if ear1 else [sigma2]))
+        value, grad = core.objective(x)
+        assert value < 1e3
+        fd = approx_derivative(lambda z: core.objective(z)[0], x, method="3-point")
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5 * np.max(np.abs(fd)))
+
+    def test_gradient_where_the_variance_floor_holds(self):
+        # deflated per-step weights floor the predictive variance at 6 steps
+        core = fit_core(("zmp", "gar1", -0.25, 0.8, 1.0, 3.0, 0.0), 200, 1, True)
+        x = np.array([3.0, 0.8, 3.0])
+        _, grad = core.objective(x)
+        fd = approx_derivative(lambda z: core.objective(z)[0], x, method="3-point")
+        np.testing.assert_allclose(grad, fd, rtol=1e-5)
+
+    def test_zero_gradient_outside_the_domain(self):
+        core = fit_core(self.PINNED[0][0], 100, 5, True)
+        value, grad = core.objective(np.array([-1.0, 0.5, 1.0]))
+        assert value == estimation._BIG
+        assert np.all(grad == 0.0)

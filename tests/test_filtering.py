@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from zmcounts.filtering import (
     FilterState,
+    forward_adjoint,
+    forward_pass,
     gkf_filter,
     gkf_init,
     gkf_step,
@@ -184,6 +186,39 @@ class TestVarianceRecursion:
         cp, gain, _, _ = variance_path(500, 0.8, 0.8, 1.0, 0.8 * 3.0)
         assert cp[-1] == cp[-2]
         assert gain[-1] == gain[-2]
+
+
+class TestForwardAdjoint:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.floats(0.0, 0.95),
+        noise=st.floats(0.3, 10.0),
+        a0=st.floats(-1.0, 1.5),
+        c0=st.sampled_from([0.0, 0.4]),
+    )
+    def test_matches_central_differences(self, seed, rho, noise, a0, c0):
+        # the weighted sum of (pred, cp, jvar) moved along random directions
+        # of (a0, a1, noise, rho, mu, sigma2, lam0); n spans the transient
+        # and the constant-gain tail, and a0 > 0.5 floors some steps
+        rng = np.random.default_rng(seed)
+        y = rng.poisson(2.0, 80).astype(float)
+        weights = rng.normal(size=(3, 80))
+        theta = np.array([a0, 0.8, noise, rho, 3.0, 2.0, 2.5])
+
+        def functional(th):
+            lam_f, _, cp, _, jvar, _ = forward_pass(y, th[:3], *th[3:], c0=c0)
+            pred = th[3] * np.concatenate([[th[6]], lam_f[:-1]]) + (1.0 - th[3]) * th[4]
+            return weights[0] @ pred + weights[1] @ cp + weights[2] @ jvar
+
+        out = forward_pass(y, theta[:3], *theta[3:], c0=c0)
+        grad = forward_adjoint(y, theta[:3], *theta[3:], out, weights, c0=c0)
+        for d in rng.normal(size=(3, 7)):
+            if rho == 0.0:
+                d[3] = 0.0  # central differences would leave the domain
+            h = 1e-6
+            fd = (functional(theta + h * d) - functional(theta - h * d)) / (2.0 * h)
+            assert d @ grad == pytest.approx(fd, rel=1e-6, abs=1e-6 * np.abs(grad).max())
 
 
 class TestInnovationProperties:

@@ -94,6 +94,13 @@ class TestInnovations:
         se = draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - 1.0) < 3 * se
 
+    @pytest.mark.parametrize("rho", [5e-324, 1e-310])
+    def test_gar1_subnormal_rho(self, rho):
+        # 1/rho overflows here; the Poisson mean is p*(-log rho), about 745*p
+        path = simulate_intensity(gar1(rho, 1.0, 1.0), 500, np.random.default_rng(4))
+        assert np.all(np.isfinite(path)) and np.all(path > 0)
+        assert abs(path.mean() - 1.0) < 0.3
+
     def test_gar1_rho0_rejected(self):
         with pytest.raises(InvalidSpecError):
             gar1_innovation_sample(gar1(0.0, 1.0, 2.0), np.random.default_rng(0))
