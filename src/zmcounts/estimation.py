@@ -20,7 +20,10 @@ an innovation-variance condition.  The objective's exact gradient, the chain
 rule through the zero-mass tie (implicit derivative), the observation
 coefficients and the filter (:func:`~zmcounts.filtering.forward_adjoint`), is
 the estimating-equation system the bounded quasi-Newton solve drives to
-zero.  ``(beta, p)`` are recovered as ``beta = mu/sigma2``, ``p = mu*beta``.
+zero, in variables scaled by the start's magnitudes.  For ZMP at
+omega < 0 the derivatives of the clipped law's coefficients and zero mass are
+closed form but for one central difference in the gamma shape p.
+``(beta, p)`` are recovered as ``beta = mu/sigma2``, ``p = mu*beta``.
 Moment-based initializers (closed form where available, grid search
 otherwise) provide starting points.
 """
@@ -41,10 +44,12 @@ from .observation import (
     ModelSpec,
     Params,
     as_count_series,
+    clipped_coefficient_jacobian,
     marginal_zero_prob,
     observation_coefficients,
     vbar_from,
     zmp_zero_mass_omega,
+    zmp_zero_mass_slopes,
 )
 
 # bounds of the quasi-Newton solve and of the zero-mass tie
@@ -106,6 +111,7 @@ class FitResult:
     filtered: np.ndarray
     residuals: np.ndarray
     grad_norm: float
+    stop: str
     se: dict | None = None
     notes: list[str] = field(default_factory=list)
 
@@ -142,6 +148,7 @@ class FitResult:
             "n_eval": self.n_eval,
             "converged": self.converged,
             "grad_norm": self.grad_norm,
+            "stop": self.stop,
             "notes": self.notes,
             "trace": [
                 {"omega": t.omega, "rho": t.rho, "beta": t.beta, "p": t.p, "a": t.a}
@@ -153,8 +160,10 @@ class FitResult:
 @dataclass(frozen=True)
 class _Solve:
     """One bounded solve at fixed dispersion: the estimates, whether the
-    solver converged, and its iteration and objective-and-gradient
-    evaluation counts."""
+    solver converged, its iteration and objective-and-gradient evaluation
+    counts, and why it stopped: ``gradient`` (the projected gradient test),
+    ``objective`` (the relative-reduction test), ``max_iter`` or
+    ``abnormal`` (the line search failed)."""
 
     w: float
     mu: float
@@ -164,6 +173,16 @@ class _Solve:
     n_iter: int
     n_eval: int
     grad_norm: float
+    stop: str
+
+
+def _stop_reason(res) -> str:
+    """Why an L-BFGS-B solve stopped, from its status and message."""
+    if res.status == 1:
+        return "max_iter"
+    if res.status == 0:
+        return "objective" if "REDUCTION" in res.message else "gradient"
+    return "abnormal"
 
 
 def _theta_params(omega, mu, rho, sigma2, a, c) -> Params:
@@ -457,8 +476,11 @@ class _FitCore:
     def coefficient_tangents(self, w, mu, sigma2, obs, tangents):
         """Derivatives of the observation coefficients (a0, a1, noise) along
         each row of ``tangents`` (see :meth:`deviance`): closed form
-        (0, -dw, d((1-w)*vbar)) for omega >= 0, central differences of
-        :func:`observation_coefficients` along the row below."""
+        (0, -dw, d((1-w)*vbar)) for omega >= 0; for ZMP at omega < 0, the
+        closed-form :func:`~zmcounts.observation.clipped_coefficient_jacobian`
+        (a central difference in the gamma shape p alone inside it); central
+        differences of :func:`observation_coefficients` along each row for
+        the laws it averages by quadrature."""
         moves = tangents[:, [0, 1, 3]]  # (omega, mu, sigma2)
         if w >= 0.0:
             dw, dmu, dsig = moves.T
@@ -471,6 +493,10 @@ class _FitCore:
             ).imag / step
             vb = obs.noise / (1.0 - w)  # noise = (1-w)*vbar
             return np.column_stack([np.zeros(len(moves)), -dw, (1.0 - w) * dvb - dw * vb])
+        if self.family == CountFamily.ZMP:
+            jac = clipped_coefficient_jacobian(w, mu, sigma2)
+            if jac is not None:
+                return moves @ jac
         theta = np.array([w, mu, sigma2])
         out = np.zeros((len(moves), 3))
         for i, move in enumerate(moves):
@@ -491,11 +517,24 @@ class _FitCore:
         marginal zero mass P0, and zero where the tie is pinned at a bound.
 
         For ZMP at omega >= 0, P0 = omega + (1-omega)*Z with
-        Z = (beta/(beta+1))^p in closed form; otherwise P0's partials are
-        central differences of :func:`marginal_zero_prob`."""
+        Z = (beta/(beta+1))^p in closed form.  For ZMP at omega < 0, P0's
+        partials in omega and beta are closed form
+        (:func:`~zmcounts.observation.zmp_zero_mass_slopes`) and the one in
+        p is a central difference of :func:`marginal_zero_prob`.  For ZMNB
+        all three are central differences."""
         if not _OMEGA_MIN < w < _OMEGA_MAX:
             return 0.0, 0.0
-        if self.family == CountFamily.ZMP and w >= 0.0:
+        if self.family == CountFamily.ZMP and w < 0.0:
+            beta = mu / sigma2
+            p = mu * beta
+            d_w, d_beta = zmp_zero_mass_slopes(w, beta, p)
+            hi, lo = p * (1.0 + _JAC_STEP), p * (1.0 - _JAC_STEP)
+            d_p = (marginal_zero_prob(self.family, w, beta, hi)
+                   - marginal_zero_prob(self.family, w, beta, lo)) / (hi - lo)
+            # beta = mu/sigma2 and p = mu^2/sigma2
+            return (-(d_beta / sigma2 + 2.0 * beta * d_p) / d_w,
+                    (beta * d_beta + p * d_p) / (sigma2 * d_w))
+        if self.family == CountFamily.ZMP:
             beta = mu / sigma2
             p = mu * beta
             log_z = p * (math.log(beta) - math.log(beta + 1.0))
@@ -574,34 +613,46 @@ class _FitCore:
         L-BFGS-B on the objective's analytic gradient, started from the point
         clipped into the bounds, stops once the projected gradient's max-norm
         is at most ``tol`` (or the objective's relative decrease falls below
-        1e-15) and gives up after ``max_iter`` iterations.  ``grad_norm`` is
-        the max-norm of the final gradient with the components zeroed where
-        an active bound blocks descent; ``w0`` stands in for omega if the tie
-        fails at the solution.
+        1e-15) and gives up after ``max_iter`` iterations.  It solves in the
+        scaled variables u = x/s, s = max(|x0|, 1) per component of the
+        clipped start, so that mu and sigma2 of a few units and rho below one
+        move on comparable scales; each trial u*s is clipped into the raw
+        bounds, where rounding could otherwise step past them.  Since s >= 1,
+        the gradient test in u implies ``grad_norm <= tol`` in raw units.
+        ``grad_norm`` is the max-norm of the final raw gradient with the
+        components zeroed where an active bound blocks descent; ``w0`` stands
+        in for omega if the tie fails at the solution.
         """
         k = 2 if self.ear1 else 3
         lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k])
         upper = np.array([np.inf, _RHO_MAX, np.inf][:k])
-        x0 = np.array([mu0, rho0, sigma20][:k])
+        scale = np.maximum(np.abs(np.clip([mu0, rho0, sigma20][:k], lower, upper)), 1.0)
+
+        def scaled(u):
+            value, grad = self.objective(np.clip(u * scale, lower, upper))
+            return value, grad * scale
+
         res = minimize(
-            self.objective, x0=x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+            scaled, x0=np.array([mu0, rho0, sigma20][:k]) / scale, jac=True, method="L-BFGS-B",
+            bounds=list(zip(lower / scale, upper / scale)),
             options={"gtol": tol, "maxiter": max_iter, "ftol": 1e-15},
         )
-        g = res.jac
-        blocked = ((res.x <= lower) & (g > 0)) | ((res.x >= upper) & (g < 0))
+        g = res.jac / scale
+        blocked = ((res.x <= lower / scale) & (g > 0)) | ((res.x >= upper / scale) & (g < 0))
         grad_norm = float(np.max(np.abs(np.where(blocked, 0.0, g))))
+        x = np.clip(res.x * scale, lower, upper)
         if self.ear1:
-            mu, rho = res.x
+            mu, rho = x
             sigma2 = float(mu**2)
         else:
-            mu, rho, sigma2 = res.x
+            mu, rho, sigma2 = x
         w = self.tied_omega(mu, sigma2)
         converged = bool(res.success and w is not None and res.fun < _BIG)
         if w is None:
             w = w0
         return _Solve(
             float(w), float(mu), float(rho), float(sigma2), converged, int(res.nit),
-            int(res.nfev), grad_norm,
+            int(res.nfev), grad_norm, _stop_reason(res),
         )
 
     def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter) -> tuple[_Solve, float]:
@@ -611,7 +662,7 @@ class _FitCore:
         point.  Every refit starts from the same point (w0, mu0, rho0,
         sigma20), so the condition is a function of a alone.  Returns the
         final refit, with the iterations and evaluations of every refit
-        summed, and a."""
+        summed, a, and notes on a fit whose a ends at a grid end."""
         solves = []
 
         def refit(a):
@@ -634,6 +685,7 @@ class _FitCore:
             h = self.yf - obs.a0 - obs.a1 * (sol.rho * prev + (1.0 - sol.rho) * sol.mu)
             return float(np.mean(h**2 / jvar - 1.0))
 
+        notes = []
         grid = np.geomspace(_A_MIN, a_max, 10)
         start = float(np.clip(a0, _A_MIN, a_max))
         order = np.argsort(np.abs(np.log(grid) - np.log(start)))
@@ -676,13 +728,20 @@ class _FitCore:
         else:
             a_hat = min(pairs, key=lambda t: abs(t[1]))[0]
             boundary = a_hat in (pairs[0][0], pairs[-1][0])
+            if boundary:
+                end = "lower" if a_hat == pairs[0][0] else "upper"
+                sign = "positive" if pairs[0][1] > 0 else "negative"
+                notes.append(
+                    f"dispersion residual stayed {sign} over the grid a in "
+                    f"[{pairs[0][0]:g}, {pairs[-1][0]:g}]; a ended at its {end} end {a_hat:g}"
+                )
         sol = refit(a_hat)
         return replace(
             sol,
             converged=sol.converged and not boundary,
             n_iter=sum(s.n_iter for s in solves),
             n_eval=sum(s.n_eval for s in solves),
-        ), a_hat
+        ), a_hat, notes
 
 
 def solve_ef_block(
@@ -730,7 +789,8 @@ def solve_ef_block(
         w_start = core.tied_omega(mu, sigma2)
         core.per_step = (cur.omega if w_start is None else w_start) >= 0.0
     if family == CountFamily.ZMNB:
-        sol, a = core.run_zmnb(w, mu, rho, sigma2, a, a_max, tol, max_iter)
+        sol, a, grid_notes = core.run_zmnb(w, mu, rho, sigma2, a, a_max, tol, max_iter)
+        notes += grid_notes
     else:
         sol = core.run(w, mu, rho, sigma2, tol, max_iter)
     w, mu, rho, sigma2 = sol.w, sol.mu, sol.rho, sol.sigma2
@@ -758,6 +818,7 @@ def solve_ef_block(
         filtered=filt.lambda_filtered,
         residuals=residuals,
         grad_norm=sol.grad_norm,
+        stop=sol.stop,
         notes=notes,
     )
 

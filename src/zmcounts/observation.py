@@ -289,10 +289,7 @@ def marginal_zero_prob(
         z_all = math.exp(p * (math.log(beta) - math.log(beta + 1.0)))
         if omega >= 0.0:
             return omega + (1.0 - omega) * z_all
-        # zero mass vanishes beyond lambda* = log((1-omega)/(-omega))
-        lam_star = math.log((1.0 - omega) / (-omega))
-        mass = float(gammainc(p, beta * lam_star))
-        z_trunc = z_all * float(gammainc(p, (beta + 1.0) * lam_star))
+        _, mass, z_trunc = _zmp_zero_mass_parts(omega, beta, p, z_all)
         return omega * mass + (1.0 - omega) * z_trunc
     nodes, weights = _laguerre()
     lam = nodes / beta
@@ -301,6 +298,35 @@ def marginal_zero_prob(
     logw = np.log(weights) + (p - 1.0) * np.log(nodes) - gammaln(p)
     cell = np.maximum(omega + (1.0 - omega) * zbase, 0.0)
     return float(np.sum(np.exp(logw) * cell))
+
+
+def _zmp_zero_mass_parts(omega: float, beta: float, p: float, z_all: float):
+    """The pieces of the ZMP zero mass at omega < 0, which vanishes beyond
+    lambda* = log((1-omega)/(-omega)): (lambda*, P(lambda < lambda*),
+    E[e^-lambda; lambda < lambda*]), with ``z_all`` = E[e^-lambda]."""
+    lam_star = math.log((1.0 - omega) / (-omega))
+    mass = float(gammainc(p, beta * lam_star))
+    z_trunc = z_all * float(gammainc(p, (beta + 1.0) * lam_star))
+    return lam_star, mass, z_trunc
+
+
+def zmp_zero_mass_slopes(omega: float, beta: float, p: float) -> tuple[float, float]:
+    """Partial derivatives in omega and beta of the ZMP marginal zero mass
+    P0 = omega*mass + (1-omega)*z_trunc at omega < 0 (see
+    :func:`_zmp_zero_mass_parts`).  The integrand vanishes at the clip
+    boundary, so dP0/domega = mass - z_trunc; in beta, the gamma CDFs move
+    by their densities at beta*lambda* and (beta+1)*lambda*, and
+    Z = (beta/(beta+1))^p by Z*p/(beta*(beta+1))."""
+    z_all = math.exp(p * (math.log(beta) - math.log(beta + 1.0)))
+    lam_star, mass, z_trunc = _zmp_zero_mass_parts(omega, beta, p, z_all)
+
+    def density(x):  # of Gamma(p, rate 1)
+        return math.exp((p - 1.0) * math.log(x) - x - math.lgamma(p))
+
+    d_mass = lam_star * density(beta * lam_star)
+    d_trunc = (z_trunc * p / (beta * (beta + 1.0))
+               + z_all * lam_star * density((beta + 1.0) * lam_star))
+    return mass - z_trunc, omega * d_mass + (1.0 - omega) * d_trunc
 
 
 def zmp_zero_mass_omega(p0: float, beta: float, p: float, lower: float) -> float:
@@ -318,9 +344,7 @@ def zmp_zero_mass_omega(p0: float, beta: float, p: float, lower: float) -> float
     for _ in range(100):
         if omega <= lower:
             return lower
-        lam_star = math.log((1.0 - omega) / (-omega))
-        mass = float(gammainc(p, beta * lam_star))
-        z_trunc = z_all * float(gammainc(p, (beta + 1.0) * lam_star))
+        _, mass, z_trunc = _zmp_zero_mass_parts(omega, beta, p, z_all)
         step = (omega * mass + (1.0 - omega) * z_trunc - p0) / (mass - z_trunc)
         omega -= step
         if step <= 1e-13:
@@ -358,6 +382,9 @@ _CLIP_TAIL = 1e-13
 # upper _CLIP_TAIL quantile, and cost the square of their length; wider
 # intensity laws are averaged by quadrature
 _MAX_CLIP_LAMBDA = 256.0
+# relative step of the five-point central difference in the gamma shape p
+_SHAPE_STEP = 1e-3
+_SHAPE_STEPS = (1.0 + _SHAPE_STEP * np.array([0.0, 1.0, -1.0, 2.0, -2.0]))[:, None]
 
 
 class ObsCoefficients(NamedTuple):
@@ -463,6 +490,21 @@ def _count_index(n: int):
 _SHAPES = np.arange(1.0, 2.0 * _MAX_CLIP_LAMBDA + 4.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _clip_knots(omega: float, top: float) -> np.ndarray:
+    """The ZMP clip boundaries lam_k = gammainccinv(k+1, tau), tau =
+    -omega/(1-omega), that lie below ``top``; they depend on omega alone.
+    Cached, so that the coefficients and their derivatives at one point
+    share them."""
+    tau = -omega / (1.0 - omega)
+    lam_k = gammainccinv(_SHAPES[: int(top) + 2], tau)
+    if lam_k[-1] < top:  # lam_k > k whenever tau <= 1/2
+        lam_k = gammainccinv(_SHAPES[: 2 * int(top) + 3], tau)
+    lam_k = lam_k[: int(np.searchsorted(lam_k, top))]  # lam_k increases with k
+    lam_k.flags.writeable = False
+    return lam_k
+
+
 def _zmp_clip_terms(omega: float, beta: float, p: float, top: float) -> np.ndarray:
     """``e[j, k] = E[lam^j min(0, g_k)]`` for j in {0, 1} under the Gamma(p,
     rate beta) law, in closed form, for the k whose clip boundary lam_k lies
@@ -480,14 +522,10 @@ def _zmp_clip_terms(omega: float, beta: float, p: float, top: float) -> np.ndarr
     Q(p+m+1, x) - Q(p+m, x), summation by parts gives
     S_jk = V_{k+j}*Q(p+k+j, x_k) - sum_{m<k+j} t_m(x_k)*V_m.
     """
-    tau = -omega / (1.0 - omega)
-    lam_k = gammainccinv(_SHAPES[: int(top) + 2], tau)
-    if lam_k[-1] < top:  # lam_k > k whenever tau <= 1/2
-        lam_k = gammainccinv(_SHAPES[: 2 * int(top) + 3], tau)
-    n = int(np.searchsorted(lam_k, top))  # lam_k increases with k
+    lam_k = _clip_knots(omega, top)
+    n = len(lam_k)
     if n == 0:
         return np.zeros((2, 0))
-    lam_k = lam_k[:n]
     m, log_fact, falling, _, below, gather = _count_index(n)
     x = (beta + 1.0) * lam_k
     y = beta * lam_k
@@ -512,6 +550,105 @@ def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
     e = _zmp_clip_terms(omega, beta, p, top)
     sums = e @ _count_index(e.shape[1])[3]
     return sums[:, 0], sums[:1, 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_index(n: int):
+    """Constants of the n-term sums of :func:`_zmp_clip_average_tangents`,
+    with shifts j in {0, 1, 2}: m <= n+1, the falling factorials
+    m!/(m-j)!, the mask m <= k+j for k < n, log m!, the matrix of the
+    partial sums over i < m of n+1 terms, and the weights that turn the
+    rows j = 0, 1 of n terms into the sums D1, lam*D1 and D2."""
+    m = np.arange(n + 2.0)
+    falling = np.array([np.ones_like(m), m, m * (m - 1.0)])
+    below = m <= np.arange(n)[:, None] + np.arange(3)[:, None, None]
+    sums = np.zeros((2 * n, 3))
+    sums[:n, 0] = sums[n:, 1] = 1.0
+    sums[:n, 2] = 2.0 * m[:n] + 1.0
+    out = (m, falling, below, gammaln(m + 1.0), np.tri(n + 2, n + 1, k=-1), sums)
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _zmp_clip_average_tangents(omega: float, beta: float, p: float, top: float):
+    """The averages (E[D1], E[lam*D1], E[D2]) of :func:`_zmp_clip_averages`
+    and their partial derivatives, rows in (omega, beta, p), from the terms
+    e[j, k] of :func:`_zmp_clip_terms`:
+
+    * omega: the integrand min(0, g_k) vanishes at its kink lam_k, so
+      de/domega = E[lam^j; lam > lam_k] - S_jk.
+    * beta: the gamma density f has df/dbeta = f*(p/beta - lam), so
+      de_j/dbeta = p/beta*e_j - e_{j+1}, with a j = 2 row.
+    * p: Q(p+m, x) has no closed derivative in its shape, so this is a
+      five-point central difference in p at the same lam_k (error about
+      1e-8 relative, where a three-point one loses 1e-6 to rounding).
+
+    The terms at p, p+-h and p+-2h come from one batch, by the direct sums
+    S_jk = sum_{m<=k+j} m!/(m-j)! NB(m) Q(p+m, x_k), with
+    Q(p+m, z) = Q(p, z) + sum_{i<m} t_i(z) at z = x_k and at z = beta*lam_k.
+    """
+    lam_k = _clip_knots(omega, top)
+    n = len(lam_k)
+    if n == 0:
+        return np.zeros(3), np.zeros((3, 3))
+    m, falling, below, log_fact, partial, weights = _shift_index(n)
+    ps = p * _SHAPE_STEPS
+    z = np.concatenate([(beta + 1.0) * lam_k, beta * lam_k])
+    lgam = gammaln(ps + m)  # log Gamma(p+m)
+    log_z = np.log(z)
+    # q[m, s, i] = Q(p+m, z_i) at the shape ps[s]
+    t = np.exp((ps * log_z - z) + (m[:-1, None, None] * log_z - lgam[:, 1:].T[:, :, None]))
+    q = gammaincc(ps, z) + (partial @ t.reshape(n + 1, -1)).reshape(n + 2, *t.shape[1:])
+    nb = np.exp(lgam - (lgam[:, :1] + log_fact)
+                + (ps * math.log(beta / (beta + 1.0)) - m * math.log(beta + 1.0)))
+    s_jk = ((q[:, :, :n].transpose(1, 2, 0)[:, None] * below)
+            @ (falling * nb[:, None])[..., None])[..., 0]
+    # E[lam^j; lam > lam_k] = E[lam^j]*Q(p+j, beta*lam_k)
+    moments = np.exp(lgam[:, :3] - lgam[:, :1]) / beta ** m[:3]
+    beyond = moments[:, :, None] * q[:3, :, n:].transpose(1, 0, 2)
+    e = omega * beyond + (1.0 - omega) * s_jk
+    terms = np.array([  # the values, then their partials
+        e[0, :2],
+        beyond[0, :2] - s_jk[0, :2],
+        p / beta * e[0, :2] - e[0, 1:],
+        (8.0 * (e[1, :2] - e[2, :2]) - (e[3, :2] - e[4, :2])) / (12.0 * _SHAPE_STEP * p),
+    ])
+    sums = terms.reshape(4, -1) @ weights
+    return sums[0], sums[1:]
+
+
+def _clipped_coefficients(omega, mu, sigma2, vb, d10, d11, d2):
+    """(a0, a1, noise) of the clipped law from (1-omega)*vbar's factor vb and
+    the averages E[D1], E[lam*D1] and E[D2]; analytic, so a complex step
+    through it gives its derivatives."""
+    one_w = 1.0 - omega
+    delta = (d11 - mu * d10) / sigma2  # a1 - (1-omega)
+    noise = one_w * vb + d2 - 2.0 * one_w * d11 - d10**2 - delta * delta * sigma2
+    return d10 - delta * mu, one_w + delta, noise
+
+
+def clipped_coefficient_jacobian(omega: float, mu: float, sigma2: float) -> np.ndarray | None:
+    """Jacobian of the ZMP observation coefficients at omega < 0: row i holds
+    the derivatives of (a0, a1, noise) in the i-th of (omega, mu, sigma2).
+    Closed form (see :func:`_zmp_clip_average_tangents`); None for the
+    intensity laws that :func:`observation_coefficients` averages by
+    quadrature."""
+    beta = mu / sigma2
+    p = mu * beta
+    top = _clip_top(beta, p)
+    if top > _MAX_CLIP_LAMBDA:
+        return None
+    d, dd = _zmp_clip_average_tangents(omega, beta, p, top)
+    # beta = mu/sigma2 and p = mu^2/sigma2
+    dd = np.array([dd[0], dd[1] / sigma2 + 2.0 * beta * dd[2], -(beta * dd[1] + p * dd[2]) / sigma2])
+    step = 1e-20
+    rows = []
+    for move, d_row in zip(np.eye(3).tolist(), (d + 1j * step * dd).tolist()):
+        w_c, mu_c, s_c = (x + 1j * step * dx for x, dx in zip((omega, mu, sigma2), move))
+        vb = vbar_from(CountFamily.ZMP, w_c, mu_c, s_c)
+        rows.append(_clipped_coefficients(w_c, mu_c, s_c, vb, *d_row))
+    return np.array(rows).imag / step
 
 
 def _gamma_rule(p: float, n: int = 64):
@@ -611,9 +748,8 @@ def observation_coefficients(
     if omega >= 0.0:
         return ObsCoefficients(0.0, one_w, one_w * vb)
     d1, d2 = _clip_averages(family, omega, mu, sigma2, a, c)
-    delta = (d1[1] - mu * d1[0]) / sigma2  # a1 - (1-omega)
-    noise = one_w * vb + d2[0] - 2.0 * one_w * d1[1] - d1[0] ** 2 - delta * delta * sigma2
-    return ObsCoefficients(float(d1[0] - delta * mu), float(one_w + delta), float(noise))
+    a0, a1, noise = _clipped_coefficients(omega, mu, sigma2, vb, d1[0], d1[1], d2[0])
+    return ObsCoefficients(float(a0), float(a1), float(noise))
 
 
 def spec_coefficients(spec: ModelSpec) -> ObsCoefficients:

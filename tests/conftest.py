@@ -1,6 +1,12 @@
 import os
 
-import pytest
+# one BLAS and OpenMP thread per process, set before anything imports numpy:
+# with a thread per core in each replicate-pool worker, the workers contend
+# for the cores and the acceptance module runs several times slower
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
 
 
 def pytest_addoption(parser):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 from scipy.optimize._numdiff import approx_derivative
 
 from zmcounts import estimation
@@ -321,8 +322,9 @@ class TestFitEngine:
         monkeypatch.setattr(_FitCore, "objective", counted)
         res = fit(self.criterion1_series(1), "zmp", "gar1")
         assert res.converged
-        # each evaluation returns the gradient too; this fit takes 22
-        assert len(calls) <= 40
+        # each evaluation returns the gradient too; this fit takes 10 in
+        # scaled variables (22 unscaled)
+        assert len(calls) <= 16
         assert res.n_eval == len(calls)
 
     def test_n_eval_is_the_solver_count(self, monkeypatch):
@@ -342,17 +344,52 @@ class TestFitEngine:
     def test_grad_norm_within_tol(self, tmp_path):
         res = fit(self.criterion1_series(2), "zmp", "gar1", tol=1e-6)
         assert res.converged
+        assert res.stop == "gradient"
         assert 0.0 <= res.grad_norm <= 1e-6
         write_fit_json(tmp_path / "fit.json", res)
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["grad_norm"] == res.grad_norm
+        assert doc["stop"] == "gradient"
 
     def test_iteration_cap(self):
         y = self.criterion1_series(3)
         capped = fit(y, "zmp", "gar1", max_iter=1)
         assert not capped.converged
         assert capped.iterations == 1
+        assert capped.stop == "max_iter"
         assert fit(y, "zmp", "gar1").converged
+
+    @pytest.mark.parametrize("status,message,stop", [
+        (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", "gradient"),
+        (0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", "objective"),
+        (1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", "max_iter"),
+        (2, "ABNORMAL: ", "abnormal"),
+    ])
+    def test_stop_reason(self, status, message, stop):
+        res = OptimizeResult(status=status, message=message)
+        assert estimation._stop_reason(res) == stop
+
+    def test_scaled_trial_points_stay_in_the_raw_bounds(self, monkeypatch):
+        # at mu0 = 5.7 the scaled lower bound times the scale rounds to just
+        # below _MU_MIN; the objective must see the bound itself
+        assert (estimation._MU_MIN / 5.7) * 5.7 < estimation._MU_MIN
+        seen = []
+        objective = _FitCore.objective
+        solve = estimation.minimize
+
+        def recorded(self, x):
+            seen.append(np.array(x))
+            return objective(self, x)
+
+        def at_lower_bounds_first(fun, x0, **kwargs):
+            fun(np.array([b[0] for b in kwargs["bounds"]]))
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(_FitCore, "objective", recorded)
+        monkeypatch.setattr(estimation, "minimize", at_lower_bounds_first)
+        core = fit_core(("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), 400, 5, True)
+        core.run(0.2, 5.7, 0.8, 12.0, 1e-6, 50)
+        assert seen[0].tolist() == [estimation._MU_MIN, 0.0, estimation._SIGMA2_MIN]
 
 
 class TestBootstrap:
@@ -435,6 +472,25 @@ class TestDeflatedFitPieces:
         core = _FitCore(y.astype(float), CountFamily.ZMP, False, 0.0, 1, float(np.mean(y == 0)))
         assert ph.omega == core.tied_omega(ph.mu_lambda, ph.sigma2_lambda) == -0.95
         assert res.notes == ["omega ended at the bound -0.95 of its zero-mass tie"]
+
+    @settings(deadline=None, max_examples=40)
+    @given(omega=st.floats(-0.9, -0.01), beta=st.floats(0.3, 5.0), p=st.floats(0.5, 8.0))
+    def test_tie_slope_matches_central_differences(self, omega, beta, p):
+        # (d omega/d mu, d omega/d sigma2) = -(dP0/d(mu, sigma2))/(dP0/d omega)
+        mu, s2 = p / beta, p / beta**2
+        core = _FitCore(np.zeros(3), CountFamily.ZMP, False, 0.0, 1, 0.0)
+
+        def zero_mass(w, m, v):
+            return marginal_zero_prob(CountFamily.ZMP, w, m / v, m * m / v)
+
+        x = np.array([omega, mu, s2])
+        grad = []
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = 1e-5 * abs(x[i])
+            grad.append((zero_mass(*(x + step)) - zero_mass(*(x - step))) / (2.0 * step[i]))
+        expected = [-grad[1] / grad[0], -grad[2] / grad[0]]
+        np.testing.assert_allclose(core.tie_slope(omega, mu, s2), expected, rtol=1e-6)
 
     def test_deflated_fit_stores_standardized_residuals(self):
         # residuals of a deflated fit are standardized by the clipped law at
@@ -523,3 +579,18 @@ class TestObjectiveGradient:
         value, grad = core.objective(np.array([-1.0, 0.5, 1.0]))
         assert value == estimation._BIG
         assert np.all(grad == 0.0)
+
+
+class TestZmnbGridEnd:
+    def test_one_signed_residual_is_explained(self):
+        # equidispersed counts: the dispersion residual is negative at every
+        # grid value of a, so a ends at the grid's lower end and the fit
+        # says why instead of only failing to converge
+        spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=1.0, p=4.0)
+        res = fit(simulate_counts(spec, 300, 1), "zmnb", "gar1")
+        assert res.params_hat.a == estimation._A_MIN
+        assert not res.converged
+        assert res.notes == [
+            "dispersion residual stayed negative over the grid a in [0.0001, 10]; "
+            "a ended at its lower end 0.0001"
+        ]

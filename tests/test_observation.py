@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,10 @@ from zmcounts.observation import (
     CountFamily,
     ModelSpec,
     Params,
+    _clip_top,
+    _zmp_clip_terms,
     baseline_zero_prob,
+    clipped_coefficient_jacobian,
     conditional_moments,
     count_acf,
     feasible_omega_interval,
@@ -27,6 +32,7 @@ from zmcounts.observation import (
     zm_pmf_vector,
     zm_sample,
     zmnb_fourth_central_moment,
+    zmp_zero_mass_slopes,
 )
 
 ZMP, ZMNB = CountFamily.ZMP, CountFamily.ZMNB
@@ -524,3 +530,74 @@ class TestObservationCoefficients:
         obs = observation_coefficients(ZMNB, omega, 1e6, 1e6, a, 1)
         assert obs.a1 == pytest.approx(1 - omega + d, rel=1e-9)
         assert obs.noise > 0
+
+
+def central_differences(f, x, rel=1e-5):
+    """Rows of derivatives of the vector function f in each component of x."""
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for i in range(len(x)):
+        step = np.zeros(len(x))
+        step[i] = rel * abs(x[i])
+        rows.append((np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * step[i]))
+    return np.array(rows)
+
+
+class TestClippedCoefficientJacobian:
+    # the closed form's whole range (the intensity law's upper 1e-13 quantile
+    # stays below lambda = 256 on this box)
+    BOX = dict(
+        omega=st.floats(-0.9, -0.01), beta=st.floats(0.3, 5.0), p=st.floats(0.5, 8.0)
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(**BOX)
+    def test_matches_central_differences(self, omega, beta, p):
+        mu, s2 = p / beta, p / beta**2
+        assert _clip_top(beta, p) <= 256.0
+        jac = clipped_coefficient_jacobian(omega, mu, s2)
+        fd = central_differences(lambda x: observation_coefficients(ZMP, *x), [omega, mu, s2])
+        # relative 1e-6, each column (a0, a1, noise) against its own scale,
+        # because a near-zero entry has no meaningful relative error
+        assert np.all(np.abs(jac - fd) <= 1e-6 * (np.abs(fd) + np.abs(fd).max(axis=0)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(**BOX)
+    def test_zero_mass_slopes_match_central_differences(self, omega, beta, p):
+        d_w, d_beta = zmp_zero_mass_slopes(omega, beta, p)
+        fd = central_differences(
+            lambda x: [marginal_zero_prob(ZMP, x[0], x[1], p)], [omega, beta]
+        )[:, 0]
+        np.testing.assert_allclose([d_w, d_beta], fd, rtol=1e-6, atol=1e-9)
+
+    def test_no_kink_below_the_top(self):
+        # every kink lies beyond the intensity law's top: the derivatives are
+        # the unclipped coefficients' (0, 1-omega, (1-omega)*vbar)
+        w, mu, s2 = -1e-12, 2.0, 1.0
+        m2 = s2 + mu**2
+        expected = [[0.0, -1.0, (1.0 - w) * m2 - (mu + w * m2)],
+                    [0.0, 0.0, (1.0 - w) * (1.0 + 2.0 * w * mu)],
+                    [0.0, 0.0, (1.0 - w) * w]]
+        np.testing.assert_allclose(
+            clipped_coefficient_jacobian(w, mu, s2), expected, rtol=1e-12, atol=1e-15
+        )
+
+    def test_wide_laws_left_to_quadrature(self):
+        assert clipped_coefficient_jacobian(-0.001, 200.0, 100.0) is None
+
+    # sha256 of the bytes of _zmp_clip_terms at (omega, beta, p), recorded
+    # before its knots moved into their own cached helper: the ProbTable and
+    # the coefficients read these rows, so a refactor must keep every bit
+    PINNED_TERMS = [
+        ((-0.2, 2.0, 4.0), 15, "fc86532b865ff0ce394216911b843ade3c0ed5fc3c0f2c9cf8443803f00b9061"),
+        ((-0.05, 0.5, 4.0), 64, "1bac88f7e398e74e23670a72704b1f58d92114a5d13d234e4126e3a40aba6098"),
+        ((-0.7, 1.3, 0.8), 21, "7a556ca8c610fc6a91a6952d28b1c80887d1e66eae6ef0293d1eff51f24fe1dc"),
+        ((-0.5, 0.35, 7.5), 131, "7982493d77c51ffa53a2f60a574d3bb8115ef4890e1d7a04fe539195d5972bf8"),
+    ]
+
+    @pytest.mark.parametrize("point,n,digest", PINNED_TERMS)
+    def test_clip_terms_pinned(self, point, n, digest):
+        omega, beta, p = point
+        e = _zmp_clip_terms(omega, beta, p, _clip_top(beta, p))
+        assert e.shape == (2, n)
+        assert hashlib.sha256(e.tobytes()).hexdigest() == digest
