@@ -24,12 +24,10 @@ from .errors import (
     ZmcountsError,
 )
 from .estimation import (
-    EFSystem,
     FitResult,
     GridConfig,
     SampleMoments,
     default_init,
-    ef_components,
     fit,
     grid_search_init,
     moment_init_ear1,

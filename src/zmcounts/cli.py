@@ -13,7 +13,7 @@ Config layout::
       "seed": 1,
       "write_intensity": true,
       "on_infeasible": "raise",
-      "fit": {"tol": 1e-6, "max_iter": 500, "a_max": 10.0},
+      "fit": {"tol": 1e-6, "max_iter": 500},
       "bootstrap": {"reps": 0},
       "experiment": {"replicates": 200, "n": 1000,
                      "rows": [{"family": "zmp", "intensity": "gar1",
@@ -132,7 +132,6 @@ def cmd_fit(args) -> int:
     options = {
         "tol": float(fit_cfg.get("tol", 1e-6)),
         "max_iter": int(fit_cfg.get("max_iter", 500)),
-        "a_max": float(fit_cfg.get("a_max", 10.0)),
     }
     result = fit(
         y, model.get("family", "zmp"), model.get("intensity", "gar1"),

@@ -4,19 +4,11 @@ Everything revolves around the one-step prediction errors of the generalized
 Kalman filter, ``h_t = y_t - a0 - a1*(rho*lhat_{t-1} + (1-rho)*mu)`` with the
 filter's observation coefficients (``a0 = 0``, ``a1 = 1-omega`` for
 omega >= 0; moments of the truncated law for omega < 0), which have mean zero
-at the true parameters.  The classical weighted component sums of the
-unclipped model
-
-    g*(i) = sum_t  (1-omega)*P_t/J_t^2 * dh_t/dtheta_i * h_t
-
-are provided by :func:`ef_components`; note that their three instruments span
-only a two-dimensional space (the m-instrument is an exact linear combination
-of the constant and slope instruments), so the fitting loop closes the system
-differently: it minimizes the innovation quasi-deviance ``sum(h^2/J + log J)``
-over the intensity parameters, augmented by standardized whiteness and level
-orthogonality conditions, with the zero-modification parameter tied to the
-model's exact marginal zero-mass identity and the ZMNB dispersion solved from
-an innovation-variance condition.  The objective's exact gradient, the chain
+at the true parameters.  The fit minimizes the innovation quasi-deviance
+``sum(h^2/J + log J)`` over the intensity parameters and, for ZMNB, the
+dispersion a, augmented by standardized whiteness and level orthogonality
+conditions, with the zero-modification parameter tied to the model's exact
+marginal zero-mass identity.  The objective's exact gradient, the chain
 rule through the zero-mass tie (implicit derivative), the observation
 coefficients and the filter (:func:`~zmcounts.filtering.forward_adjoint`), is
 the estimating-equation system the bounded quasi-Newton solve drives to
@@ -36,8 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import EstimationError, InfeasibleInitError, InvalidSpecError
-from .filtering import forward_adjoint, forward_pass, gkf_filter, variance_path
+from .errors import InfeasibleInitError
+from .filtering import forward_adjoint, forward_pass, gkf_filter
+from .filtering import variance_path  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .intensity import IntensityFamily
 from .observation import (
     CountFamily,
@@ -59,6 +52,7 @@ _RHO_MAX = 0.999
 _OMEGA_MIN = -0.95
 _OMEGA_MAX = 0.999
 _A_MIN = 1e-4
+_A_MAX = 10.0
 # relative step of the central differences
 _JAC_STEP = 1e-5
 _BIG = 1e18
@@ -87,14 +81,6 @@ class SampleMoments:
             float(np.mean(y * (y - 1.0) * (y - 2.0))),
         )
         return cls(ybar=ybar, s2=s2, r1=r1, factorial=fac)
-
-
-@dataclass
-class EFSystem:
-    """Estimating-function values and their numerical Jacobian at one theta."""
-
-    components: np.ndarray
-    jacobian: np.ndarray
 
 
 @dataclass
@@ -159,16 +145,18 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _Solve:
-    """One bounded solve at fixed dispersion: the estimates, whether the
-    solver converged, its iteration and objective-and-gradient evaluation
-    counts, and why it stopped: ``gradient`` (the projected gradient test),
-    ``objective`` (the relative-reduction test), ``max_iter`` or
-    ``abnormal`` (the line search failed)."""
+    """One bounded solve: the estimates (``a`` is the dispersion the solve
+    ended at, the start's for ZMP), whether the fit converged, its iteration
+    and objective-and-gradient evaluation counts, and why it stopped:
+    ``gradient`` (the projected gradient test), ``objective`` (the
+    relative-reduction test), ``max_iter`` or ``abnormal`` (the line search
+    failed)."""
 
     w: float
     mu: float
     rho: float
     sigma2: float
+    a: float
     converged: bool
     n_iter: int
     n_eval: int
@@ -188,63 +176,6 @@ def _stop_reason(res) -> str:
 def _theta_params(omega, mu, rho, sigma2, a, c) -> Params:
     beta = mu / sigma2
     return Params(omega=omega, rho=rho, beta=beta, p=mu * beta, a=a, c=c)
-
-
-def ef_components(
-    series,
-    filtered_prev,
-    params: Params,
-    family: CountFamily = CountFamily.ZMP,
-    jacobian: bool = True,
-) -> EFSystem:
-    """Evaluate the (omega, mu, rho) estimating-function system.
-
-    ``filtered_prev[t]`` holds the filtered intensity entering step t (i.e.
-    lhat_{t-1|t-1}, with the initializing value in slot 0); it is treated as a
-    constant with respect to the parameters.  The Jacobian is numerical
-    (central differences, relative step 1e-5).
-    """
-    y = as_count_series(series).astype(float)
-    prev = np.asarray(filtered_prev, dtype=float)
-    if prev.shape != y.shape:
-        raise InvalidSpecError("filtered_prev must align one-to-one with the series")
-    sigma2 = params.sigma2_lambda
-    a, c = params.a, params.c
-
-    def components(theta):
-        w, mu, rho = theta
-        vb = vbar_from(family, w, mu, sigma2, a, c)
-        if vb <= 0 or w >= 1.0:
-            return np.full(3, np.inf)
-        _, gain, jvar, _ = variance_path(len(y), 1.0 - w, rho, sigma2, (1.0 - w) * vb)
-        pt = gain * jvar  # (1-w) * C_{t|t-1}
-        if np.any(jvar <= 0):
-            raise EstimationError("degenerate estimating-function weights (J_t = 0)")
-        weight = (1.0 - w) * pt / jvar**2
-        m = rho * prev + (1.0 - rho) * mu
-        h = y - (1.0 - w) * m
-        wh = weight * h
-        return np.array(
-            [
-                np.sum(wh * m),
-                np.sum(wh) * (-(1.0 - w) * (1.0 - rho)),
-                np.sum(wh * (-(1.0 - w)) * (prev - mu)),
-            ]
-        )
-
-    theta0 = np.array([params.omega, params.mu_lambda, params.rho])
-    g0 = components(theta0)
-    if not jacobian:
-        return EFSystem(components=g0, jacobian=np.full((3, 3), np.nan))
-    jac = np.empty((3, 3))
-    for i in range(3):
-        step = _JAC_STEP * max(abs(theta0[i]), 1e-3)
-        hi = theta0.copy()
-        lo = theta0.copy()
-        hi[i] += step
-        lo[i] -= step
-        jac[:, i] = (components(hi) - components(lo)) / (2.0 * step)
-    return EFSystem(components=g0, jacobian=jac)
 
 
 def moment_init_ear1(moments: SampleMoments, c: int = 1) -> Params:
@@ -347,7 +278,6 @@ def default_init(
     family: CountFamily,
     intensity_family: IntensityFamily,
     c: int = 1,
-    grid: GridConfig | None = None,
 ) -> Params:
     """Closed-form moment initializer with grid-search fallback."""
     if family == CountFamily.ZMP:
@@ -358,27 +288,27 @@ def default_init(
             return moment_init_gar1_factorial(mom, c=c)
         except InfeasibleInitError:
             pass
-    init = grid_search_init(series, family, intensity_family, c=c, grid=grid)
-    if family == CountFamily.ZMNB and init.a < _A_MIN:
-        init = replace(init, a=_A_MIN)
-    return init
+    return grid_search_init(series, family, intensity_family, c=c)
 
 
 class _FitCore:
-    """Inner engine of the fitting loop at fixed dispersion.
+    """Engine of the fit.
 
     Works on the innovation quasi-deviance Q = mean(h^2/J + log J) of the
-    self-consistently filtered series.  (mu, rho, sigma2) minimize Q jointly
-    (sigma2 is tied to mu^2 under an exponential marginal), with omega solved
-    from the exact marginal zero-mass identity at every trial point.  One
-    bounded L-BFGS-B solve (:meth:`run`) finds the minimum for every family;
-    its stationarity conditions, like the zero-mass tie, are martingale
-    estimating functions, so the root keeps the unbiasedness structure of the
-    published system while being fully identified.
+    self-consistently filtered series.  (mu, rho, sigma2) and, for ZMNB, the
+    dispersion a minimize Q jointly (sigma2 is tied to mu^2 under an
+    exponential marginal), with omega solved from the exact marginal
+    zero-mass identity at every trial point.  One bounded L-BFGS-B solve
+    (:meth:`run`) finds the minimum for every family; its stationarity
+    conditions, like the zero-mass tie, are martingale estimating functions,
+    so the root keeps the unbiasedness structure of the published system
+    while being fully identified.
 
-    ``per_step`` selects the ZMP variance weights for the whole fit (see
-    :meth:`deviance`), so that the objective keeps one form at every trial
-    point.
+    ``a`` is the dispersion at which :meth:`deviance` and the tie are
+    evaluated: fixed for ZMP, the start of the solve for ZMNB, whose
+    :meth:`objective` sets it from each trial point.  ``per_step`` selects
+    the ZMP variance weights for the whole fit (see :meth:`deviance`), so
+    that the objective keeps one form at every trial point.
     """
 
     def __init__(self, yf, family, ear1, a, c, p0hat):
@@ -406,8 +336,9 @@ class _FitCore:
         jump in the deviance there that draws the fit to omega = 0.
 
         With ``tangents``, a (k, 4) array whose rows are derivatives of
-        (omega, mu, rho, sigma2) along k directions, returns the value and its
-        k directional derivatives (zeros where the value is ``_BIG``).
+        (omega, mu, rho, sigma2) along k directions, (k, 5) with a last for
+        ZMNB, returns the value and its k directional derivatives (zeros where
+        the value is ``_BIG``).
         """
         flat = _BIG if tangents is None else (_BIG, np.zeros(len(tangents)))
         if not (w < 1.0 and mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
@@ -482,6 +413,8 @@ class _FitCore:
         differences of :func:`observation_coefficients` along each row for
         the laws it averages by quadrature."""
         moves = tangents[:, [0, 1, 3]]  # (omega, mu, sigma2)
+        # the dispersion moves only in ZMNB fits
+        da = tangents[:, 4] if tangents.shape[1] > 4 else np.zeros(len(moves))
         if w >= 0.0:
             dw, dmu, dsig = moves.T
             # vbar is a polynomial, so a complex step gives its derivative to
@@ -489,7 +422,7 @@ class _FitCore:
             step = 1e-20
             dvb = vbar_from(
                 self.family, w + 1j * step * dw, mu + 1j * step * dmu,
-                sigma2 + 1j * step * dsig, self.a, self.c,
+                sigma2 + 1j * step * dsig, self.a + 1j * step * da, self.c,
             ).imag / step
             vb = obs.noise / (1.0 - w)  # noise = (1-w)*vbar
             return np.column_stack([np.zeros(len(moves)), -dw, (1.0 - w) * dvb - dw * vb])
@@ -497,33 +430,34 @@ class _FitCore:
             jac = clipped_coefficient_jacobian(w, mu, sigma2)
             if jac is not None:
                 return moves @ jac
-        theta = np.array([w, mu, sigma2])
+        theta = np.array([w, mu, sigma2, self.a])
         out = np.zeros((len(moves), 3))
-        for i, move in enumerate(moves):
+        for i, move in enumerate(np.column_stack([moves, da])):
             if move.any():
                 step = _JAC_STEP / np.max(np.abs(move) / np.maximum(np.abs(theta), 1e-3))
-                hi = observation_coefficients(self.family, *(theta + step * move), self.a, self.c)
-                lo = observation_coefficients(self.family, *(theta - step * move), self.a, self.c)
+                hi = observation_coefficients(self.family, *(theta + step * move), self.c)
+                lo = observation_coefficients(self.family, *(theta - step * move), self.c)
                 out[i] = (np.array(hi) - np.array(lo)) / (2.0 * step)
         return out
 
-    def zeros_resid(self, w, mu, sigma2):
+    def zeros_resid(self, w, mu, sigma2, a):
         beta = mu / sigma2
-        return self.p0hat - marginal_zero_prob(self.family, w, beta, mu * beta, self.a, self.c)
+        return self.p0hat - marginal_zero_prob(self.family, w, beta, mu * beta, a, self.c)
 
     def tie_slope(self, w, mu, sigma2):
-        """(d omega/d mu, d omega/d sigma2) along the zero-mass tie at its
-        root ``w``: the implicit derivative -(dP0/dtheta)/(dP0/domega) of the
-        marginal zero mass P0, and zero where the tie is pinned at a bound.
+        """(d omega/d mu, d omega/d sigma2[, d omega/d a]) along the
+        zero-mass tie at its root ``w``, with the slope in a for ZMNB only:
+        the implicit derivative -(dP0/dtheta)/(dP0/domega) of the marginal
+        zero mass P0, and zero where the tie is pinned at a bound.
 
         For ZMP at omega >= 0, P0 = omega + (1-omega)*Z with
         Z = (beta/(beta+1))^p in closed form.  For ZMP at omega < 0, P0's
         partials in omega and beta are closed form
         (:func:`~zmcounts.observation.zmp_zero_mass_slopes`) and the one in
         p is a central difference of :func:`marginal_zero_prob`.  For ZMNB
-        all three are central differences."""
+        all four are central differences."""
         if not _OMEGA_MIN < w < _OMEGA_MAX:
-            return 0.0, 0.0
+            return (0.0,) * (3 if self.family == CountFamily.ZMNB else 2)
         if self.family == CountFamily.ZMP and w < 0.0:
             beta = mu / sigma2
             p = mu * beta
@@ -544,15 +478,15 @@ class _FitCore:
                 scale * (beta / (beta + 1.0) + 2.0 * log_z / mu),
                 -scale * (p / (beta + 1.0) + log_z) / sigma2,
             )
-        theta = np.array([w, mu, sigma2])
-        grad = np.empty(3)  # of the residual p0hat - P0, whose ratios are P0's
-        for i in range(3):
+        theta = np.array([w, mu, sigma2, self.a])
+        grad = np.empty(4)  # of the residual p0hat - P0, whose ratios are P0's
+        for i in range(4):
             step = _JAC_STEP * max(abs(theta[i]), 1e-3)
             hi, lo = theta.copy(), theta.copy()
             hi[i] += step
             lo[i] -= step
             grad[i] = (self.zeros_resid(*hi) - self.zeros_resid(*lo)) / (2.0 * step)
-        return -grad[1] / grad[0], -grad[2] / grad[0]
+        return tuple(-grad[1:] / grad[0])
 
     def tied_omega(self, mu, sigma2):
         """Zero-mass root in omega at fixed (mu, sigma2).
@@ -569,8 +503,8 @@ class _FitCore:
             beta = mu / sigma2
             if self.p0hat < marginal_zero_prob(self.family, 0.0, beta, mu * beta):
                 return zmp_zero_mass_omega(self.p0hat, beta, mu * beta, _OMEGA_MIN)
-        r_lo = self.zeros_resid(_OMEGA_MIN, mu, sigma2)
-        r_hi = self.zeros_resid(_OMEGA_MAX, mu, sigma2)
+        r_lo = self.zeros_resid(_OMEGA_MIN, mu, sigma2, self.a)
+        r_hi = self.zeros_resid(_OMEGA_MAX, mu, sigma2, self.a)
         if not (np.isfinite(r_lo) and np.isfinite(r_hi)):
             return None
         if r_lo <= 0.0:  # residual decreasing in omega: root below the floor
@@ -578,25 +512,29 @@ class _FitCore:
         if r_hi >= 0.0:
             return _OMEGA_MAX
         return float(brentq(
-            lambda x: self.zeros_resid(x, mu, sigma2), _OMEGA_MIN, _OMEGA_MAX, xtol=1e-12
+            lambda x: self.zeros_resid(x, mu, sigma2, self.a), _OMEGA_MIN, _OMEGA_MAX, xtol=1e-12
         ))
 
     def objective(self, x):
-        """Penalized deviance over (mu, rho[, sigma2]) with omega tied to the
-        zero-mass identity, and its gradient in x; fully joint, so no
+        """Penalized deviance over (mu, rho[, sigma2][, a]) with omega tied
+        to the zero-mass identity, and its gradient in x; fully joint, so no
         alternation path-dependence.  The gradient is the chain rule through
         the tie (:meth:`tie_slope`) and the deviance (:meth:`deviance`)."""
+        zmnb = self.family == CountFamily.ZMNB
+        if zmnb:
+            x, self.a = x[:-1], float(x[-1])
         if self.ear1:
             mu, rho = x
             sigma2 = mu**2
         else:
             mu, rho, sigma2 = x
         if not (mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
-            return _BIG, np.zeros(len(x))
+            return _BIG, np.zeros(len(x) + zmnb)
         w = self.tied_omega(mu, sigma2)
         if w is None:
-            return _BIG, np.zeros(len(x))
-        w_mu, w_s2 = self.tie_slope(w, mu, sigma2)
+            return _BIG, np.zeros(len(x) + zmnb)
+        slopes = self.tie_slope(w, mu, sigma2)
+        w_mu, w_s2 = slopes[:2]
         # rows: d(omega, mu, rho, sigma2) along each component of x
         if self.ear1:
             tangents = np.array([[w_mu + 2.0 * mu * w_s2, 1.0, 0.0, 2.0 * mu],
@@ -605,143 +543,81 @@ class _FitCore:
             tangents = np.array([[w_mu, 1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0, 0.0],
                                  [w_s2, 0.0, 0.0, 1.0]])
+        if zmnb:  # a fifth column, and a last row for a itself
+            tangents = np.pad(tangents, ((0, 1), (0, 1)))
+            tangents[-1, [0, 4]] = slopes[2], 1.0
         return self.deviance(w, mu, rho, sigma2, tangents)
 
     def run(self, w0, mu0, rho0, sigma20, tol, max_iter) -> _Solve:
         """Bounded quasi-Newton minimization of :meth:`objective`.
 
         L-BFGS-B on the objective's analytic gradient, started from the point
-        clipped into the bounds, stops once the projected gradient's max-norm
-        is at most ``tol`` (or the objective's relative decrease falls below
-        1e-15) and gives up after ``max_iter`` iterations.  It solves in the
-        scaled variables u = x/s, s = max(|x0|, 1) per component of the
-        clipped start, so that mu and sigma2 of a few units and rho below one
-        move on comparable scales; each trial u*s is clipped into the raw
-        bounds, where rounding could otherwise step past them.  Since s >= 1,
-        the gradient test in u implies ``grad_norm <= tol`` in raw units.
-        ``grad_norm`` is the max-norm of the final raw gradient with the
-        components zeroed where an active bound blocks descent; ``w0`` stands
-        in for omega if the tie fails at the solution.
+        clipped into the bounds (for ZMNB, a starts at ``self.a`` and is
+        bounded to [``_A_MIN``, ``_A_MAX``]), stops once the projected
+        gradient's max-norm is at most ``tol`` (or the objective's relative
+        decrease falls below 1e-15, after which it restarts once from where
+        it stopped) and gives up after ``max_iter`` iterations in all.  It solves in the scaled variables u = x/s,
+        s = max(|x0|, 1) per component of the clipped start, so that mu and
+        sigma2 of a few units and rho below one move on comparable scales;
+        each trial u*s is clipped into the raw bounds, where rounding could
+        otherwise step past them.  Since s >= 1, the gradient test in u
+        implies ``grad_norm <= tol`` in raw units.  ``grad_norm`` is the
+        max-norm of the final raw gradient with the components zeroed where
+        an active bound blocks descent; ``w0`` stands in for omega if the tie
+        fails at the solution.
+
+        The fit converged if the solve stopped on the gradient test, the tie
+        is evaluable at the solution and, for ZMNB, a lies strictly inside
+        its bounds.
         """
+        zmnb = self.family == CountFamily.ZMNB
         k = 2 if self.ear1 else 3
-        lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k])
-        upper = np.array([np.inf, _RHO_MAX, np.inf][:k])
-        scale = np.maximum(np.abs(np.clip([mu0, rho0, sigma20][:k], lower, upper)), 1.0)
+        lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k] + [_A_MIN] * zmnb)
+        upper = np.array([np.inf, _RHO_MAX, np.inf][:k] + [_A_MAX] * zmnb)
+        x0 = np.array([mu0, rho0, sigma20][:k] + [self.a] * zmnb)
+        scale = np.maximum(np.abs(np.clip(x0, lower, upper)), 1.0)
 
         def scaled(u):
             value, grad = self.objective(np.clip(u * scale, lower, upper))
             return value, grad * scale
 
-        res = minimize(
-            scaled, x0=np.array([mu0, rho0, sigma20][:k]) / scale, jac=True, method="L-BFGS-B",
-            bounds=list(zip(lower / scale, upper / scale)),
-            options={"gtol": tol, "maxiter": max_iter, "ftol": 1e-15},
-        )
+        def solve(start, iters):
+            return minimize(
+                scaled, x0=start, jac=True, method="L-BFGS-B",
+                bounds=list(zip(lower / scale, upper / scale)),
+                options={"gtol": tol, "maxiter": iters, "ftol": 1e-15},
+            )
+
+        res = solve(x0 / scale, max_iter)
+        n_iter, n_eval = res.nit, res.nfev
+        if _stop_reason(res) == "objective" and n_iter < max_iter:
+            # a step that gained nothing stops the solve without showing
+            # stationarity; one restart drops the curvature memory that chose it
+            res = solve(res.x, max_iter - n_iter)
+            n_iter, n_eval = n_iter + res.nit, n_eval + res.nfev
         g = res.jac / scale
         blocked = ((res.x <= lower / scale) & (g > 0)) | ((res.x >= upper / scale) & (g < 0))
         grad_norm = float(np.max(np.abs(np.where(blocked, 0.0, g))))
         x = np.clip(res.x * scale, lower, upper)
+        if zmnb:
+            x, self.a = x[:-1], float(x[-1])
         if self.ear1:
             mu, rho = x
             sigma2 = float(mu**2)
         else:
             mu, rho, sigma2 = x
         w = self.tied_omega(mu, sigma2)
-        converged = bool(res.success and w is not None and res.fun < _BIG)
+        stop = _stop_reason(res)
+        converged = (
+            stop == "gradient" and w is not None and res.fun < _BIG
+            and (not zmnb or _A_MIN < self.a < _A_MAX)
+        )
         if w is None:
             w = w0
         return _Solve(
-            float(w), float(mu), float(rho), float(sigma2), converged, int(res.nit),
-            int(res.nfev), grad_norm, _stop_reason(res),
+            float(w), float(mu), float(rho), float(sigma2), self.a, converged, int(n_iter),
+            int(n_eval), grad_norm, stop,
         )
-
-    def run_zmnb(self, w0, mu0, rho0, sigma20, a0, a_max, tol, max_iter) -> tuple[_Solve, float]:
-        """Joint solve including the dispersion: a is the bracketed root of the
-        innovation-variance condition, with (omega, mu, rho, sigma2) refit by
-        :meth:`run` for every trial value so the root is the joint fixed
-        point.  Every refit starts from the same point (w0, mu0, rho0,
-        sigma20), so the condition is a function of a alone.  Returns the
-        final refit, with the iterations and evaluations of every refit
-        summed, a, and notes on a fit whose a ends at a grid end."""
-        solves = []
-
-        def refit(a):
-            self.a = a
-            solves.append(self.run(w0, mu0, rho0, sigma20, tol, max_iter))
-            return solves[-1]
-
-        def gq(a):
-            # dispersion condition: innovation variance against its
-            # model-implied level, exactly mean-zero at the truth; the raw
-            # quadratic EF with filtered intensities substituted is biased to
-            # a -> 0 because the post-update residual is shrunk by
-            # (1 - K(1-omega)) while the claimed conditional variance is not
-            sol = refit(a)
-            obs = observation_coefficients(self.family, sol.w, sol.mu, sol.sigma2, a, self.c)
-            lam_f, _, _, _, jvar, _ = forward_pass(
-                self.yf, obs, sol.rho, sol.mu, sol.sigma2, sol.mu
-            )
-            prev = np.concatenate([[sol.mu], lam_f[:-1]])
-            h = self.yf - obs.a0 - obs.a1 * (sol.rho * prev + (1.0 - sol.rho) * sol.mu)
-            return float(np.mean(h**2 / jvar - 1.0))
-
-        notes = []
-        grid = np.geomspace(_A_MIN, a_max, 10)
-        start = float(np.clip(a0, _A_MIN, a_max))
-        order = np.argsort(np.abs(np.log(grid) - np.log(start)))
-        vals = {}
-        for idx in order:
-            a = float(grid[idx])
-            try:
-                vals[a] = gq(a)
-            except EstimationError:
-                vals[a] = np.nan
-        pairs = sorted((a, v) for a, v in vals.items() if np.isfinite(v))
-        if not pairs:
-            raise EstimationError("quadratic EF not evaluable on the dispersion grid")
-        brackets = [
-            (a1, a2)
-            for (a1, v1), (a2, v2) in zip(pairs[:-1], pairs[1:])
-            if v1 * v2 <= 0
-        ]
-        boundary = False
-        if brackets:
-            a1, a2 = min(brackets, key=lambda b: abs(math.log(0.5 * (b[0] + b[1])) - math.log(start)))
-            v1 = vals[a1]
-            for _ in range(40):
-                if a2 - a1 < 1e-4:
-                    break
-                mid = 0.5 * (a1 + a2)
-                try:
-                    vm = gq(mid)
-                except EstimationError:
-                    a2 = mid
-                    continue
-                if vm == 0.0:
-                    a1 = a2 = mid
-                    break
-                if (vm > 0) == (v1 > 0):
-                    a1, v1 = mid, vm
-                else:
-                    a2 = mid
-            a_hat = 0.5 * (a1 + a2)
-        else:
-            a_hat = min(pairs, key=lambda t: abs(t[1]))[0]
-            boundary = a_hat in (pairs[0][0], pairs[-1][0])
-            if boundary:
-                end = "lower" if a_hat == pairs[0][0] else "upper"
-                sign = "positive" if pairs[0][1] > 0 else "negative"
-                notes.append(
-                    f"dispersion residual stayed {sign} over the grid a in "
-                    f"[{pairs[0][0]:g}, {pairs[-1][0]:g}]; a ended at its {end} end {a_hat:g}"
-                )
-        sol = refit(a_hat)
-        return replace(
-            sol,
-            converged=sol.converged and not boundary,
-            n_iter=sum(s.n_iter for s in solves),
-            n_eval=sum(s.n_eval for s in solves),
-        ), a_hat, notes
 
 
 def solve_ef_block(
@@ -750,18 +626,18 @@ def solve_ef_block(
     init: Params | None = None,
     tol: float = 1e-6,
     max_iter: int = 500,
-    a_max: float = 10.0,
 ) -> FitResult:
     """Run the estimating-function fit to a joint fixed point and return
     estimates, trace and the final filtered path.
 
     Filtering and condition-solving are interleaved inside :class:`_FitCore`
-    (the filter is rebuilt for every visited parameter point).  ``spec`` fixes
-    the families and the dispersion form index; its parameter values serve as
-    the starting point unless ``init`` is given.  ``tol`` bounds the max-norm
-    of the projected gradient at which the bounded quasi-Newton solve stops,
-    and ``max_iter`` caps its iterations; a ZMNB fit applies both to each of
-    its inner refits.
+    (the filter is rebuilt for every visited parameter point), and one
+    bounded quasi-Newton solve fits every parameter, the ZMNB dispersion
+    included.  ``spec`` fixes the families and the dispersion form index; its
+    parameter values serve as the starting point unless ``init`` is given.
+    ``tol`` bounds the max-norm of the projected gradient at which the solve
+    stops, and ``max_iter`` caps its iterations.  ``notes`` name a bound at
+    which omega's zero-mass tie or the dispersion a ended.
     """
     from .diagnostics import pearson_residuals, truncated_residuals
 
@@ -776,10 +652,9 @@ def solve_ef_block(
         cur = replace(cur, a=_A_MIN)
     notes: list[str] = []
     trace = [cur]
-    a = cur.a
     w, mu, rho = cur.omega, cur.mu_lambda, cur.rho
     sigma2 = cur.sigma2_lambda
-    core = _FitCore(yf, family, ear1, a, c=cur.c, p0hat=p0hat)
+    core = _FitCore(yf, family, ear1, cur.a, c=cur.c, p0hat=p0hat)
     if family == CountFamily.ZMP:
         # ZMP fits whose zero mass calls for inflation at the start weight
         # each step by its predictive variance.  Under deflation that weight
@@ -788,14 +663,12 @@ def solve_ef_block(
         # variance can be gamed by inflating the predicted level.
         w_start = core.tied_omega(mu, sigma2)
         core.per_step = (cur.omega if w_start is None else w_start) >= 0.0
-    if family == CountFamily.ZMNB:
-        sol, a, grid_notes = core.run_zmnb(w, mu, rho, sigma2, a, a_max, tol, max_iter)
-        notes += grid_notes
-    else:
-        sol = core.run(w, mu, rho, sigma2, tol, max_iter)
-    w, mu, rho, sigma2 = sol.w, sol.mu, sol.rho, sol.sigma2
+    sol = core.run(w, mu, rho, sigma2, tol, max_iter)
+    w, mu, rho, sigma2, a = sol.w, sol.mu, sol.rho, sol.sigma2, sol.a
     if w in (_OMEGA_MIN, _OMEGA_MAX):
         notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
+    if family == CountFamily.ZMNB and a in (_A_MIN, _A_MAX):
+        notes.append(f"a ended at the bound {a:g} of its solve")
     trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))
     cur = trace[-1]
     if ear1:  # sigma2 = mu^2 gives p = 1 only up to rounding
@@ -831,17 +704,15 @@ def fit(
     init: Params | None = None,
     tol: float = 1e-6,
     max_iter: int = 500,
-    a_max: float = 10.0,
-    grid: GridConfig | None = None,
 ) -> FitResult:
     """Initializer chain plus :func:`solve_ef_block` in one call."""
     family = CountFamily(family)
     ifam = IntensityFamily(intensity_family)
     y = as_count_series(series)
     if init is None:
-        init = default_init(y, family, ifam, c=c, grid=grid)
+        init = default_init(y, family, ifam, c=c)
     template = ModelSpec.create(
         family, ifam, omega=init.omega, rho=init.rho, beta=init.beta,
         p=init.p, a=init.a, c=init.c,
     )
-    return solve_ef_block(y, template, init=None, tol=tol, max_iter=max_iter, a_max=a_max)
+    return solve_ef_block(y, template, init=None, tol=tol, max_iter=max_iter)

@@ -47,7 +47,6 @@ class ExperimentRow:
     # options of each replicate's fit
     tol: float = 1e-6
     max_iter: int = 500
-    a_max: float = 10.0
 
     def spec(self) -> ModelSpec:
         return ModelSpec.create(
@@ -86,7 +85,7 @@ def run_replicate(row: ExperimentRow, seed) -> dict | str:
     try:
         res = fit(
             y, spec.family, spec.intensity.family, c=row.c,
-            tol=row.tol, max_iter=row.max_iter, a_max=row.a_max,
+            tol=row.tol, max_iter=row.max_iter,
         )
     except InfeasibleInitError:
         return "infeasible_init"
@@ -156,7 +155,6 @@ def bootstrap_se(
     seeds=None,
     tol: float = 1e-6,
     max_iter: int = 500,
-    a_max: float = 10.0,
 ) -> BootstrapResult:
     """Simulation-based standard errors: refit ``reps`` synthetic series of
     length n drawn from the fitted model and report the empirical standard
@@ -165,8 +163,8 @@ def bootstrap_se(
     Each refit is a :func:`run_replicate` of the fitted model's row, so series
     are drawn with ``on_infeasible="truncate"`` (the law a deflated fit
     describes) and failed refits are excluded and counted, as discarded
-    replicates are.  ``tol``, ``max_iter`` and ``a_max`` reach every refit
-    as they reach :func:`~zmcounts.estimation.fit`.  Explicit per-replicate
+    replicates are.  ``tol`` and ``max_iter`` reach every refit as they
+    reach :func:`~zmcounts.estimation.fit`.  Explicit per-replicate
     ``seeds`` may be injected for testing.
     """
     if reps < 2:
@@ -179,7 +177,7 @@ def bootstrap_se(
     row = ExperimentRow(
         spec_hat.family.value, spec_hat.intensity.family.value,
         omega=pp.omega, rho=pp.rho, beta=pp.beta, p=pp.p, n=n, replicates=reps,
-        a=pp.a, c=pp.c, on_infeasible="truncate", tol=tol, max_iter=max_iter, a_max=a_max,
+        a=pp.a, c=pp.c, on_infeasible="truncate", tol=tol, max_iter=max_iter,
     )
     ok = [o for o in _map_replicates(row, seeds, jobs) if isinstance(o, dict)]
     failed = reps - len(ok)

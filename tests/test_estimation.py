@@ -14,7 +14,6 @@ from zmcounts.estimation import (
     SampleMoments,
     _FitCore,
     default_init,
-    ef_components,
     fit,
     grid_search_init,
     moment_init_ear1,
@@ -22,7 +21,6 @@ from zmcounts.estimation import (
     solve_ef_block,
 )
 from zmcounts.experiments import ExperimentRow, bootstrap_se, run_replicate
-from zmcounts.filtering import gkf_filter
 from zmcounts.intensity import IntensityFamily, simulate_intensity
 from zmcounts.io import write_fit_json
 from zmcounts.observation import (
@@ -36,55 +34,11 @@ from zmcounts.observation import (
 
 SPEC = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=2.0, p=4.0)
 
-# frozen from the exact-rational 3-step evaluation of the published component
-# sums on the golden filter trace (y = 3, 0, 5; lambda0 = 2)
-GOLDEN_EF = (0.27519053222591944, -0.02471511806077009, 0.03374844353370671)
-
 
 def simulate_counts(spec, n, seed):
     rng = np.random.default_rng(seed)
     lam = simulate_intensity(spec.intensity, n, rng)
     return zm_sample(spec.family, lam, spec.params, rng)
-
-
-class TestEFComponents:
-    def test_vanishes_at_truth(self):
-        y = simulate_counts(SPEC, 10_000, 31)
-        filt = gkf_filter(y, SPEC)
-        prev = np.concatenate([[SPEC.params.mu_lambda], filt.lambda_filtered[:-1]])
-        sys = ef_components(y, prev, SPEC.params, SPEC.family)
-        assert np.all(np.abs(sys.components / len(y)) < 0.05)
-
-    def test_rho0_closed_form_root(self):
-        # with rho=0 the first component is proportional to sum(y - (1-w)mu),
-        # which vanishes at omega = 1 - ybar/mu
-        y = simulate_counts(
-            ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.0, beta=2.0, p=4.0), 5000, 32
-        )
-        mu = 2.0
-        w_root = 1.0 - y.mean() / mu
-        pp = Params(omega=w_root, rho=0.0, beta=2.0, p=4.0)
-        prev = np.full(len(y), mu)
-        sys = ef_components(y, prev, pp, CountFamily.ZMP, jacobian=False)
-        assert abs(sys.components[0] / len(y)) < 1e-12
-
-    def test_golden_three_step(self):
-        y = np.array([3, 0, 5])
-        filt = gkf_filter(y, SPEC)
-        prev = np.concatenate([[2.0], filt.lambda_filtered[:-1]])
-        sys = ef_components(y, prev, SPEC.params, SPEC.family)
-        np.testing.assert_allclose(sys.components, GOLDEN_EF, rtol=1e-12)
-
-    def test_rank_deficiency_identity(self):
-        # the m-instrument component is an exact linear combination of the
-        # other two: g1 = -rho/(1-w)*g3 - mu/((1-w)(1-rho))*g2
-        y = simulate_counts(SPEC, 2000, 33)
-        filt = gkf_filter(y, SPEC)
-        prev = np.concatenate([[2.0], filt.lambda_filtered[:-1]])
-        g1, g2, g3 = ef_components(y, prev, SPEC.params, SPEC.family).components
-        w, mu, rho = 0.2, 2.0, 0.8
-        rhs = -rho / (1 - w) * g3 - mu / ((1 - w) * (1 - rho)) * g2
-        assert g1 == pytest.approx(rhs, rel=1e-10)
 
 
 class TestInitializers:
@@ -270,6 +224,17 @@ class TestFit:
 
 
 class TestZmnbFit:
+    # the criterion-3 row of the acceptance suite
+    ROW = ExperimentRow("zmnb", "gar1", omega=0.3, rho=0.8, beta=0.5, p=1.0, a=0.5, c=1,
+                        n=1000, replicates=200)
+
+    def criterion3_series(self, child):
+        seed = np.random.SeedSequence(20240811).spawn(child + 1)[child]
+        rng = np.random.default_rng(seed)
+        spec = self.ROW.spec()
+        lam = simulate_intensity(spec.intensity, self.ROW.n, rng)
+        return zm_sample(spec.family, lam, spec.params, rng)
+
     def test_recovery(self):
         spec = ModelSpec.create("zmnb", "gar1", omega=0.3, rho=0.8, beta=0.5, p=1.0, a=0.5, c=1)
         y = simulate_counts(spec, 2000, 45)
@@ -278,6 +243,23 @@ class TestZmnbFit:
         assert ph.a > 0
         assert ph.omega == pytest.approx(0.3, abs=0.2)
         assert ph.rho == pytest.approx(0.8, abs=0.15)
+
+    def test_replicate_28_inside_the_bounds(self):
+        # on this series a fit that accepts a solve stopped short of
+        # stationarity ends at omega -0.95, a 10
+        res = fit(self.criterion3_series(28), "zmnb", "gar1", c=1)
+        ph = res.params_hat
+        assert res.converged
+        assert estimation._OMEGA_MIN < ph.omega < estimation._OMEGA_MAX
+        assert estimation._A_MIN < ph.a < estimation._A_MAX
+        assert res.notes == []
+
+    def test_evaluation_budget(self):
+        # a is one more variable of the one solve, not a search around it
+        res = fit(self.criterion3_series(0), "zmnb", "gar1", c=1)
+        assert res.converged
+        assert res.stop == "gradient"
+        assert res.n_eval <= 80
 
 
 class TestFitEngine:
@@ -350,6 +332,44 @@ class TestFitEngine:
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["grad_norm"] == res.grad_norm
         assert doc["stop"] == "gradient"
+
+    def test_objective_stop_is_not_converged(self, monkeypatch):
+        # only the projected-gradient test shows stationarity; a solve that
+        # stops on the relative reduction of the objective does not
+        y = self.criterion1_series(2)
+        solve = estimation.minimize
+
+        def reduction_stop(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+            return res
+
+        assert fit(y, "zmp", "gar1").converged
+        monkeypatch.setattr(estimation, "minimize", reduction_stop)
+        res = fit(y, "zmp", "gar1")
+        assert res.stop == "objective"
+        assert not res.converged
+
+    def test_solve_restarts_after_an_objective_stop(self, monkeypatch):
+        # on this criterion-1 series the first solve stops on the relative
+        # reduction test with a projected gradient of 0.046
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(167,)))
+        spec = self.ROWS[0].spec()
+        y = zm_sample(spec.family, simulate_intensity(spec.intensity, 1000, rng), spec.params, rng)
+        seen = []
+        solve = estimation.minimize
+
+        def recorded(*args, **kwargs):
+            seen.append(solve(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(estimation, "minimize", recorded)
+        res = fit(y, "zmp", "gar1")
+        assert [estimation._stop_reason(r) for r in seen] == ["objective", "gradient"]
+        assert res.converged
+        assert res.grad_norm <= 1e-6
+        assert res.n_eval == sum(r.nfev for r in seen)
+        assert res.iterations == sum(r.nit for r in seen)
 
     def test_iteration_cap(self):
         y = self.criterion1_series(3)
@@ -534,7 +554,8 @@ class TestObjectiveGradient:
         (("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), True, (7.5, 0.7, 15.0), 4.047138018463497),
         (("zmp", "gar1", -0.2, 0.8, 2.0, 4.0, 0.0), False, (2.1, 0.75, 1.1), 1.7878599638574084),
         (("zmp", "ear1", 0.3, 0.7, 0.5, 1.0, 0.0), True, (2.2, 0.6), 2.519149893893033),
-        (("zmnb", "gar1", 0.3, 0.8, 0.5, 1.0, 0.5), False, (2.2, 0.75, 4.0), 2.9483830909278765),
+        (("zmnb", "gar1", 0.3, 0.8, 0.5, 1.0, 0.5), False, (2.2, 0.75, 4.0, 0.5),
+         2.9483830909278765),
     ]
 
     @pytest.mark.parametrize("model,per_step,x,value", PINNED)
@@ -549,7 +570,7 @@ class TestObjectiveGradient:
         omega=st.sampled_from([-0.25, -0.1, 0.1, 0.3]),
         rho=st.floats(0.3, 0.9),
         per_step=st.booleans(),
-        shift=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+        shift=st.tuples(*[st.floats(-0.3, 0.3)] * 4),
     )
     def test_gradient_matches_finite_differences(
         self, seed, family, ear1, omega, rho, per_step, shift
@@ -560,7 +581,10 @@ class TestObjectiveGradient:
             (family, "ear1" if ear1 else "gar1", omega, rho, beta, p, a), 200, seed, per_step
         )
         mu, sigma2 = p / beta * math.exp(shift[0]), p / beta**2 * math.exp(shift[2])
-        x = np.array([mu, rho + 0.3 * shift[1]] + ([] if ear1 else [sigma2]))
+        x = np.array(
+            [mu, rho + 0.3 * shift[1]] + ([] if ear1 else [sigma2])
+            + ([a * math.exp(shift[3])] if family == "zmnb" else [])
+        )
         value, grad = core.objective(x)
         assert value < 1e3
         fd = approx_derivative(lambda z: core.objective(z)[0], x, method="3-point")
@@ -583,14 +607,11 @@ class TestObjectiveGradient:
 
 class TestZmnbGridEnd:
     def test_one_signed_residual_is_explained(self):
-        # equidispersed counts: the dispersion residual is negative at every
-        # grid value of a, so a ends at the grid's lower end and the fit
-        # says why instead of only failing to converge
+        # equidispersed counts: the objective's slope in a stays positive
+        # down to a's lower bound, where the solve ends; the fit says why
+        # instead of only failing to converge
         spec = ModelSpec.create("zmp", "gar1", omega=0.2, rho=0.8, beta=1.0, p=4.0)
         res = fit(simulate_counts(spec, 300, 1), "zmnb", "gar1")
         assert res.params_hat.a == estimation._A_MIN
         assert not res.converged
-        assert res.notes == [
-            "dispersion residual stayed negative over the grid a in [0.0001, 10]; "
-            "a ended at its lower end 0.0001"
-        ]
+        assert res.notes == ["a ended at the bound 0.0001 of its solve"]
