@@ -22,6 +22,7 @@ otherwise) provide starting points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -241,9 +242,31 @@ def grid_search_init(
     grid: GridConfig | None = None,
 ) -> Params:
     """Pick the grid point whose model moments (mean, variance, lag-1 ACF)
-    best match the sample moments in squared error."""
-    grid = grid or GridConfig()
+    best match the sample moments in squared error.
+
+    The grid's points and model moments do not depend on the data, so they
+    are built once per (family, intensity family, c, grid) and kept; each
+    call computes only the three moment distances and their minimum."""
+    axes, index, mean, var, acf1 = _grid_moments(
+        CountFamily(family), IntensityFamily(intensity_family), c, grid or GridConfig()
+    )
     mom = SampleMoments.from_series(series)
+    obj = (mean - mom.ybar) ** 2 + (var - mom.s2) ** 2 + (acf1 - mom.r1) ** 2
+    if not np.isfinite(obj).any():
+        raise InfeasibleInitError("no feasible grid point")
+    point = np.unravel_index(index[np.argmin(obj)], [len(ax) for ax in axes])
+    omega, rho, beta, p, a = (float(ax[i]) for ax, i in zip(axes, point))
+    return Params(omega=omega, rho=rho, beta=beta, p=p, a=a, c=c)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_moments(
+    family: CountFamily, intensity_family: IntensityFamily, c: int, grid: GridConfig
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The initializer grid's axes (omega, rho, beta, p, a), the flat
+    indices of its feasible points in row-major order, and the model mean,
+    variance and lag-1 ACF at each of those points.  Read-only: every caller
+    shares them."""
     rho = np.linspace(*grid.rho)
     omega = np.linspace(*grid.omega)
     beta = np.linspace(*grid.beta)
@@ -262,15 +285,12 @@ def grid_search_init(
     vb = vbar_from(family, W, mu, s2, A, c)
     var = (1.0 - W) * (vb + (1.0 - W) * s2)
     acf1 = (1.0 - W) * s2 * R / np.where(var > 0, var / (1.0 - W), np.nan)
-    obj = (mean - mom.ybar) ** 2 + (var - mom.s2) ** 2 + (acf1 - mom.r1) ** 2
-    obj = np.where((var > 0) & (vb > 0), obj, np.inf)
-    if not np.isfinite(obj).any():
-        raise InfeasibleInitError("no feasible grid point")
-    idx = np.unravel_index(np.argmin(obj), obj.shape)
-    return Params(
-        omega=float(W[idx]), rho=float(R[idx]), beta=float(B[idx]), p=float(P[idx]),
-        a=float(A[idx]), c=c,
-    )
+    feasible = (var > 0) & (vb > 0)
+    axes = (omega, rho, beta, p, a)
+    out = (np.flatnonzero(feasible), mean[feasible], var[feasible], acf1[feasible])
+    for arr in axes + out:
+        arr.flags.writeable = False
+    return (axes,) + out
 
 
 def default_init(
@@ -346,11 +366,8 @@ class _FitCore:
         obs = observation_coefficients(self.family, w, mu, sigma2, self.a, self.c)
         if not obs.noise > 0:
             return flat
-        out = forward_pass(self.yf, obs, rho, mu, sigma2, mu)
-        lam_f, cp = out[0], out[2]
-        prev = np.concatenate([[mu], lam_f[:-1]])
-        pred = rho * prev + (1.0 - rho) * mu
-        h = self.yf - obs.a0 - obs.a1 * pred
+        fp = forward_pass(self.yf, obs, rho, mu, sigma2, mu)
+        pred, cp, h = fp.pred, fp.cp, fp.innovation
         if self.per_step:
             # per-step predictive variance: conditional count variance at the
             # prediction (F_{t-1}-measurable) with a curvature correction;
@@ -359,27 +376,28 @@ class _FitCore:
             v_t = np.maximum((1.0 + w * pred) * pred + w * cp, 1e-8)
             jvar = (1.0 - w) ** 2 * cp + (1.0 - w) * v_t
         else:
-            jvar = out[4]
+            jvar = fp.jvar
+        n = self.n
         root = np.sqrt(jvar)
         hs = h / root
         r, inv = h / jvar, 1.0 / jvar
-        white_sum = np.sum(hs[1:] * hs[:-1])
-        q = float(np.mean(h**2 / jvar + np.log(jvar)))
+        white_sum = (hs[1:] * hs[:-1]).sum()
+        r_sum, inv_sum = r.sum(), inv.sum()
+        q = float((h**2 / jvar + np.log(jvar)).sum() / n)
         # whiteness and level orthogonality conditions, each standardized so
         # the contribution at the truth is O(chi2_1/n)
-        q += float(white_sum**2) / self.n**2
-        q += float(np.sum(r) ** 2 / np.sum(inv)) / self.n
-        if not np.isfinite(q):
+        q += float(white_sum**2) / n**2
+        q += float(r_sum**2 / inv_sum) / n
+        if not math.isfinite(q):
             return flat
         if tangents is None:
             return q
         # (g_h, g_j): the gradient of q in (h, J), with r = h/J
-        n = self.n
         nbr = np.zeros(n)  # hs_{t-1} + hs_{t+1}
         nbr[1:] += hs[:-1]
         nbr[:-1] += hs[1:]
         white = float(white_sum) / n
-        level = float(np.sum(r) / np.sum(inv))
+        level = float(r_sum / inv_sum)
         m = r + white * nbr / root + level * inv
         g_h = (2.0 / n) * m
         g_j = (inv - r * m + level * inv * (level * inv - r)) / n
@@ -401,7 +419,7 @@ class _FitCore:
             )
         else:
             weights = (w_pred, np.zeros(n), g_j)
-        grad = forward_adjoint(self.yf, obs, rho, mu, sigma2, mu, out, weights)
+        grad = forward_adjoint(obs, rho, mu, sigma2, mu, fp, weights)
         return q, direct + d_obs @ grad[:3] + tangents[:, [2, 1, 3, 1]] @ grad[3:]
 
     def coefficient_tangents(self, w, mu, sigma2, obs, tangents):
@@ -537,16 +555,12 @@ class _FitCore:
         w_mu, w_s2 = slopes[:2]
         # rows: d(omega, mu, rho, sigma2) along each component of x
         if self.ear1:
-            tangents = np.array([[w_mu + 2.0 * mu * w_s2, 1.0, 0.0, 2.0 * mu],
-                                 [0.0, 0.0, 1.0, 0.0]])
+            rows = [[w_mu + 2.0 * mu * w_s2, 1.0, 0.0, 2.0 * mu], [0.0, 0.0, 1.0, 0.0]]
         else:
-            tangents = np.array([[w_mu, 1.0, 0.0, 0.0],
-                                 [0.0, 0.0, 1.0, 0.0],
-                                 [w_s2, 0.0, 0.0, 1.0]])
+            rows = [[w_mu, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [w_s2, 0.0, 0.0, 1.0]]
         if zmnb:  # a fifth column, and a last row for a itself
-            tangents = np.pad(tangents, ((0, 1), (0, 1)))
-            tangents[-1, [0, 4]] = slopes[2], 1.0
-        return self.deviance(w, mu, rho, sigma2, tangents)
+            rows = [row + [0.0] for row in rows] + [[slopes[2], 0.0, 0.0, 0.0, 1.0]]
+        return self.deviance(w, mu, rho, sigma2, np.array(rows))
 
     def run(self, w0, mu0, rho0, sigma20, tol, max_iter) -> _Solve:
         """Bounded quasi-Newton minimization of :meth:`objective`.
@@ -637,7 +651,7 @@ def solve_ef_block(
     parameter values serve as the starting point unless ``init`` is given.
     ``tol`` bounds the max-norm of the projected gradient at which the solve
     stops, and ``max_iter`` caps its iterations.  ``notes`` name a bound at
-    which omega's zero-mass tie or the dispersion a ended.
+    which omega's zero-mass tie, rho or the dispersion a ended.
     """
     from .diagnostics import pearson_residuals, truncated_residuals
 
@@ -667,6 +681,8 @@ def solve_ef_block(
     w, mu, rho, sigma2, a = sol.w, sol.mu, sol.rho, sol.sigma2, sol.a
     if w in (_OMEGA_MIN, _OMEGA_MAX):
         notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
+    if rho in (0.0, _RHO_MAX):
+        notes.append(f"rho ended at the bound {rho:g} of its solve")
     if family == CountFamily.ZMNB and a in (_A_MIN, _A_MAX):
         notes.append(f"a ended at the bound {a:g} of its solve")
     trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))

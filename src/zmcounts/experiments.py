@@ -11,6 +11,7 @@ counted rather than patched.
 
 from __future__ import annotations
 
+import ctypes
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -102,6 +103,40 @@ def _replicate_task(args):
     return run_replicate(row, np.random.default_rng(state))
 
 
+# thread-count setters of the OpenBLAS builds bundled with numpy (64-bit
+# integer interface) and with scipy
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one thread for each bundled OpenBLAS loaded
+    in this process.
+
+    OpenBLAS starts a thread per core in every process, so ``jobs`` workers
+    each running L-BFGS-B's small matrix products contend for the cores and
+    a pooled row runs slower than a serial one.  The libraries are found
+    among those mapped into the process, and each is capped through its own
+    setter; without ``/proc/self/maps`` or the setters this does nothing.
+    It runs only in the workers, so the caller's threads are untouched.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
+
 def _map_replicates(row: ExperimentRow, seeds, jobs: int) -> list[dict | str]:
     """:func:`run_replicate` at each seed, in seed order, on ``jobs`` processes."""
     tasks = [(row, seed) for seed in seeds]
@@ -110,7 +145,7 @@ def _map_replicates(row: ExperimentRow, seeds, jobs: int) -> list[dict | str]:
 
         # up to 4 replicates per chunk, but a chunk for every worker
         chunk = max(1, min(4, len(tasks) // jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as ex:
             return list(ex.map(_replicate_task, tasks, chunksize=chunk))
     return [_replicate_task(t) for t in tasks]
 

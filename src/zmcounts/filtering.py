@@ -26,7 +26,9 @@ is what the sample variance of the innovations matches on simulated data).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -119,90 +121,123 @@ def gkf_init(spec: ModelSpec, lambda0: float | None = None) -> tuple[float, floa
 def gkf_step(prev: FilterState, y: float, spec: ModelSpec) -> tuple[FilterState, FilterStep]:
     """One predict/update cycle from the previous filtered state: a one-step
     :func:`forward_pass` started at ``prev``'s intensity and error variance."""
-    rho, mu = spec.params.rho, spec.params.mu_lambda
     obs = spec_coefficients(spec)
-    lam_f, cf, cp, gain, jvar, clamped = forward_pass(
-        np.array([float(y)]), obs, rho, mu, spec.params.sigma2_lambda,
-        prev.lambda_filtered, c0=prev.error_var,
+    fp = forward_pass(
+        np.array([float(y)]), obs, spec.params.rho, spec.params.mu_lambda,
+        spec.params.sigma2_lambda, prev.lambda_filtered, c0=prev.error_var,
     )
-    pred = rho * prev.lambda_filtered + (1.0 - rho) * mu
     step = FilterStep(
-        prediction=pred,
-        pred_var=float(cp[0]),
-        gain=float(gain[0]),
-        innovation=y - obs.a0 - obs.a1 * pred,
-        innovation_var=float(jvar[0]),
-        clamped=bool(clamped[0]),
+        prediction=float(fp.pred[0]),
+        pred_var=float(fp.cp[0]),
+        gain=float(fp.gain[0]),
+        innovation=float(fp.innovation[0]),
+        innovation_var=float(fp.jvar[0]),
+        clamped=bool(fp.clamped[0]),
     )
-    return FilterState(float(lam_f[0]), float(cf[0])), step
+    return FilterState(float(fp.lam_f[0]), float(fp.cf[0])), step
 
 
 def variance_path(
     n: int, a1: float, rho: float, sigma2: float, noise: float, c0: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Data-independent variance recursion: (C_{t|t-1}, K_t, J_t, C_{t|t}) arrays
-    for observation slope ``a1``, noise variance ``noise`` and prior error
-    variance ``c0`` (0 gives C_{1|0} = (1-rho^2)*sigma2 exactly).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Data-independent variance recursion: (C_{t|t-1}, K_t, J_t, C_{t|t})
+    arrays for observation slope ``a1``, noise variance ``noise`` and prior
+    error variance ``c0`` (0 gives C_{1|0} = (1-rho^2)*sigma2 exactly), and
+    the settle index m: the first index from which the gain is constant,
+    ``n - 1`` if it never settles.
 
-    The recursion contracts geometrically, so it is iterated only until the
-    gain stabilizes and then held at its fixed point.
+    The recursion contracts geometrically, so it is iterated on Python floats
+    only until the gain changes by at most ``_GAIN_TOL`` relative (about 50
+    steps on the paper's rows), and the rest of each array is filled with the
+    last values.  The gain at the stopping step t may equal the one before it,
+    so m is t or t - 1: exactly the index after the last change of the gain.
     """
     _check_noise(noise)
-    cp = np.empty(n)
-    gain = np.empty(n)
-    jvar = np.empty(n)
-    cf = np.empty(n)
-    c_prev = c0
-    k_last = np.inf
+    a1, rho, sigma2, noise = float(a1), float(rho), float(sigma2), float(noise)
+    rho2 = rho**2
+    drive = (1.0 - rho2) * sigma2
+    a1_sq = a1**2
+    cps, gains, jvars, cfs = [], [], [], []
+    c_prev = float(c0)
+    k_last = math.inf
+    settle = n - 1
     for t in range(n):
-        c_pred = rho**2 * c_prev + (1.0 - rho**2) * sigma2
-        denom = a1**2 * c_pred + noise
+        c_pred = rho2 * c_prev + drive
+        denom = a1_sq * c_pred + noise
         k = a1 * c_pred / denom
-        cp[t] = c_pred
-        gain[t] = k
-        jvar[t] = denom
         c_prev = (1.0 - k * a1) * c_pred
-        cf[t] = c_prev
+        cps.append(c_pred)
+        gains.append(k)
+        jvars.append(denom)
+        cfs.append(c_prev)
         if abs(k - k_last) <= _GAIN_TOL * max(k, 1e-300):
-            cp[t + 1 :] = c_pred
-            gain[t + 1 :] = k
-            jvar[t + 1 :] = denom
-            cf[t + 1 :] = c_prev
+            settle = t - (k == k_last)
             break
         k_last = k
-    return cp, gain, jvar, cf
+    m = len(gains)
+    out = []
+    for steps in (cps, gains, jvars, cfs):
+        arr = np.empty(n)
+        arr[:m] = steps
+        if m < n:
+            arr[m:] = steps[-1]
+        out.append(arr)
+    cp, gain, jvar, cf = out
+    return cp, gain, jvar, cf, settle
+
+
+class FilterPass(NamedTuple):
+    """Arrays of one :func:`forward_pass`, index t aligned with the series:
+    the filtered intensity lhat_{t|t}, C_{t|t}, C_{t|t-1}, K_t, J_t, the
+    clamp flags, the prediction lhat_{t|t-1}, the innovation h_t, the shrink
+    factor 1 - K_t*a1, and the settle index of :func:`variance_path`."""
+
+    lam_f: np.ndarray
+    cf: np.ndarray
+    cp: np.ndarray
+    gain: np.ndarray
+    jvar: np.ndarray
+    clamped: np.ndarray
+    pred: np.ndarray
+    innovation: np.ndarray
+    shrink: np.ndarray
+    settle: int
 
 
 def forward_pass(
     yf: np.ndarray, obs: ObsCoefficients, rho: float, mu: float, sigma2: float,
     lam0: float, c0: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array-level filter core: (lam_f, cf, cp, gain, jvar, clamped), started
-    from the filtered intensity ``lam0`` with error variance ``c0``.
+) -> FilterPass:
+    """Array-level filter core over a non-empty series, started from the
+    filtered intensity ``lam0`` with error variance ``c0``.
 
-    Exact recursion; the constant-gain tail (after the variance recursion has
-    stabilized) runs through a linear filter for speed.
+    Exact recursion: the transient up to the settle index runs step by step on
+    Python floats; the constant-gain tail runs through a linear filter.  The
+    predictions and innovations are those of the same pass, so callers reuse
+    them rather than rebuild them from ``lam_f``.
     """
     n = len(yf)
     a0, a1, noise = obs
-    cp, gain, jvar, cf = variance_path(n, a1, rho, sigma2, noise, c0)
+    cp, gain, jvar, cf, settle = variance_path(n, a1, rho, sigma2, noise, c0)
     # lhat_{t|t} = (1 - K_t*a1) * (rho*lhat_{t-1} + (1-rho)*mu) + K_t*(y_t - a0)
     shrink = 1.0 - gain * a1
     y0 = yf - a0
     const = shrink * (1.0 - rho) * mu + gain * y0
     lam_f = np.empty(n)
-    prev = lam0
-    moving = np.nonzero(np.diff(gain))[0]
-    m = int(moving[-1] + 1) if moving.size else 0  # gain constant from index m on
-    for t in range(min(m + 1, n)):
-        prev = shrink[t] * rho * prev + const[t]
-        lam_f[t] = prev
-    if m + 1 < n:
+    head = min(settle + 1, n)  # the gain is constant after the head
+    prev = float(lam0)
+    rho_f = float(rho)
+    path = []
+    for s_t, c_t in zip(shrink[:head].tolist(), const[:head].tolist()):
+        prev = s_t * rho_f * prev + c_t
+        path.append(prev)
+    lam_f[:head] = path
+    if head < n:
         alpha = shrink[-1] * rho
-        tail, _ = lfilter([1.0], [1.0, -alpha], const[m + 1 :], zi=[alpha * prev])
-        lam_f[m + 1 :] = tail
+        lam_f[head:] = lfilter([1.0], [1.0, -alpha], const[head:], zi=[alpha * prev])[0]
+    del const  # freed before pred is made, to bound a long series' peak memory
     clamped = lam_f <= 0
-    if np.any(clamped):
+    if clamped.any():
         # rare: redo sequentially applying the positivity floor
         prev = lam0
         for t in range(n):
@@ -214,7 +249,20 @@ def forward_pass(
                 clamped[t] = False
             lam_f[t] = val
             prev = val
-    return lam_f, cf, cp, gain, jvar, clamped
+    pred = _shifted(lam0, lam_f)
+    pred *= rho
+    pred += (1.0 - rho) * mu
+    innovation = y0  # y_t - a0 - a1*pred_t, in place
+    innovation -= a1 * pred
+    return FilterPass(lam_f, cf, cp, gain, jvar, clamped, pred, innovation, shrink, settle)
+
+
+def _shifted(first: float, v: np.ndarray) -> np.ndarray:
+    """``first`` followed by ``v[:-1]``, in a new array as long as ``v``."""
+    out = np.empty(len(v))
+    out[0] = first
+    out[1:] = v[:-1]
+    return out
 
 
 def _fold(v: np.ndarray, s: int) -> np.ndarray:
@@ -237,18 +285,20 @@ def _backward(coef: np.ndarray, v: np.ndarray, last: float = 0.0) -> np.ndarray:
 
 
 def forward_adjoint(
-    yf: np.ndarray, obs: ObsCoefficients, rho: float, mu: float, sigma2: float,
-    lam0: float, out, weights, c0: float = 0.0,
+    obs: ObsCoefficients, rho: float, mu: float, sigma2: float, lam0: float,
+    fp: FilterPass, weights, c0: float = 0.0,
 ) -> np.ndarray:
     """Gradient of a weighted sum of :func:`forward_pass`'s outputs in its
     inputs, by the adjoint (reverse) pass.
 
-    ``out`` is what :func:`forward_pass` returned at the same inputs and
-    ``weights`` = (w_pred, w_cp, w_jvar) are per-step weights of the
-    predictions pred_t = rho*lam_{t-1} + (1-rho)*mu (lam_{-1} = lam0), of
-    C_{t|t-1} and of J_t.  Returns the derivatives of
-    sum_t w_pred*pred + w_cp*cp + w_jvar*jvar in (a0, a1, noise, rho, mu,
-    sigma2, lam0); ``c0`` is held fixed.
+    ``fp`` is what :func:`forward_pass` returned at the same inputs; its
+    predictions, innovations, shrink factors and settle index are reused, so
+    of the pass's arrays only lam_{t-1} - mu is built here.  ``weights`` =
+    (w_pred, w_cp, w_jvar) are per-step weights of the predictions
+    pred_t = rho*lam_{t-1} + (1-rho)*mu (lam_{-1} = lam0), of C_{t|t-1} and
+    of J_t.  Returns the derivatives of sum_t w_pred*pred + w_cp*cp +
+    w_jvar*jvar in (a0, a1, noise, rho, mu, sigma2, lam0); ``c0`` is held
+    fixed.
 
     The filtered path lam_t = s_t*pred_t + K_t*(y_t - a0), s_t = 1 - K_t*a1,
     is linear in lam_{t-1} with pole rho*s_t, so its adjoint r_t =
@@ -260,35 +310,38 @@ def forward_adjoint(
     transient only, with the weights of the held tail summed into its last
     step.
     """
-    lam_f, cf, cp, gain, jvar, clamped = out
     w_pred, w_cp, w_jvar = weights
-    n = len(yf)
-    a0, a1, _ = obs
-    moving = np.nonzero(np.diff(gain))[0]
-    s = min(int(moving[-1] + 2) if moving.size else 1, n)  # variances held from s-1
-    prev = np.concatenate([[lam0], lam_f[:-1]])
-    pred = rho * prev + (1.0 - rho) * mu
-    shrink = 1.0 - gain * a1
+    gain, shrink, pred = fp.gain, fp.shrink, fp.pred
+    n = len(gain)
+    a1 = obs[1]
+    s = fp.settle + 1  # variances held from s-1
     # filtered path
-    pole = rho * shrink
-    w = np.append(w_pred[1:], 0.0)
-    if clamped.any():  # rare: floored steps are constant
-        pole[clamped] = 0.0
+    w = np.empty(n)
+    w[:-1] = w_pred[1:]
+    w[-1] = 0.0
+    if fp.clamped.any():  # rare: floored steps are constant
+        pole = rho * shrink
+        pole[fp.clamped] = 0.0
         r = _backward(np.append(pole[1:], 0.0), w)
-        r[clamped] = 0.0
+        r[fp.clamped] = 0.0
     else:  # the pole is constant from s-1 on
+        pole = rho * shrink[:s]
         r = np.empty(n)
         r[s - 1 :] = lfilter([1.0], [1.0, -pole[-1]], w[s - 1 :][::-1])[::-1]
-        r[: s - 1] = _backward(pole[1:s], w[: s - 1], r[s - 1])
+        r[: s - 1] = _backward(pole[1:], w[: s - 1], r[s - 1])
     rs = r * shrink
     # variance recursion: weights of cp, J and K (K carries the path's dK
     # terms, the innovation h_t = y_t - a0 - a1*pred_t times r_t)
     b_cp, b_j = _fold(w_cp, s), _fold(w_jvar, s)
-    b_k = rho * _fold(r * (yf - a0 - a1 * pred), s)
-    k_t, c_t, j_t, f_t, s_t = gain[:s], cp[:s], jvar[:s], cf[:s], shrink[:s]
+    b_k = rho * _fold(r * fp.innovation, s)
+    k_t, c_t, j_t, f_t, s_t = gain[:s], fp.cp[:s], fp.jvar[:s], fp.cf[:s], shrink[:s]
     cp_bar = _backward(rho**2 * s_t**2, b_cp + a1**2 * b_j + a1 * s_t / j_t * b_k)
-    cf_bar = np.append(rho**2 * cp_bar[1:], 0.0)
-    cf_prev = np.concatenate([[c0], f_t[:-1]])
+    cf_bar = np.empty(s)
+    cf_bar[:-1] = rho**2 * cp_bar[1:]
+    cf_bar[-1] = 0.0
+    cf_prev = _shifted(c0, f_t)
+    lam_dev = _shifted(lam0, fp.lam_f)  # lam_{t-1} - mu
+    lam_dev -= mu
     # each input's explicit part in the filtered path and, through the
     # adjoint cp_bar, in the variance recursion
     d_a0 = -rho * float(r @ gain)
@@ -297,7 +350,9 @@ def forward_adjoint(
         - 2.0 * cf_bar @ (k_t * f_t)
     )
     d_noise = float(b_j.sum() - b_k @ (k_t / j_t) + cf_bar @ k_t**2)
-    d_rho = float((rho * rs + w_pred) @ (prev - mu) + 2.0 * rho * cp_bar @ (cf_prev - sigma2))
+    d_rho = float(
+        (rho * rs + w_pred) @ lam_dev + 2.0 * rho * cp_bar @ (cf_prev - sigma2)
+    )
     d_mu = (1.0 - rho) * float(rho * rs.sum() + w_pred.sum())
     d_sigma2 = (1.0 - rho**2) * float(cp_bar.sum())
     d_lam0 = rho * (w_pred[0] + pole[0] * r[0])
@@ -315,18 +370,14 @@ def gkf_filter(
     if lam0 <= 0:
         raise InvalidSpecError(f"lambda0 must be positive, got {lam0}")
     obs = spec_coefficients(spec)
-    lam_f, cf, cp, gain, jvar, clamped = forward_pass(
-        y, obs, rho, mu, spec.params.sigma2_lambda, lam0
-    )
-    prediction = rho * np.concatenate([[lam0], lam_f[:-1]]) + (1.0 - rho) * mu
-    innovation = y - obs.a0 - obs.a1 * prediction
+    fp = forward_pass(y, obs, rho, mu, spec.params.sigma2_lambda, lam0)
     return FilterResult(
-        lambda_filtered=lam_f,
-        error_var=cf,
-        prediction=prediction,
-        pred_var=cp,
-        gain=gain,
-        innovation=innovation,
-        innovation_var=jvar,
-        clamped=clamped,
+        lambda_filtered=fp.lam_f,
+        error_var=fp.cf,
+        prediction=fp.pred,
+        pred_var=fp.cp,
+        gain=fp.gain,
+        innovation=fp.innovation,
+        innovation_var=fp.jvar,
+        clamped=fp.clamped,
     )

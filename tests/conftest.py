@@ -1,8 +1,10 @@
 import os
 
-# one BLAS and OpenMP thread per process, set before anything imports numpy:
-# with a thread per core in each replicate-pool worker, the workers contend
-# for the cores and the acceptance module runs several times slower
+# one BLAS and OpenMP thread per process, set before anything imports numpy.
+# The replicate pool caps its own workers' bundled OpenBLAS, but these caps
+# also cover the test process itself, whose serial fits and pool of workers
+# share the cores, and BLAS builds the pool's cap does not know (MKL,
+# OpenMP); test_experiments.py runs the pool without them
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 from scipy.optimize._numdiff import approx_derivative
 
-from zmcounts import estimation
+from zmcounts import estimation, experiments
 from zmcounts.errors import EstimationError, InfeasibleInitError
 from zmcounts.estimation import (
     SampleMoments,
@@ -152,6 +152,39 @@ class TestGridSearch:
         init = grid_search_init(y, spec.family, spec.intensity.family)
         assert init.omega < 0
 
+    @pytest.mark.parametrize("family", ["zmp", "zmnb"])
+    def test_cached_grid_matches_the_full_grid(self, family):
+        # the data-free grid is kept read-only; the choice equals the
+        # masked full-grid argmin built for every call
+        from zmcounts.estimation import GridConfig, _grid_moments
+        from zmcounts.observation import vbar_from
+
+        y = simulate_counts(SPEC, 500, 44)
+        init = grid_search_init(y, family, "gar1")
+        cached = _grid_moments(CountFamily(family), IntensityFamily.GAR1, 1, GridConfig())
+        assert all(not arr.flags.writeable for arr in cached[0] + cached[1:])
+        with pytest.raises(ValueError):
+            cached[2][0] = 0.0
+        assert grid_search_init(y, family, "gar1") == init
+
+        grid = GridConfig()
+        a = np.linspace(*grid.a) if family == "zmnb" else np.array([0.0])
+        W, R, B, P, A = np.meshgrid(
+            np.linspace(*grid.omega), np.linspace(*grid.rho), np.linspace(*grid.beta),
+            np.linspace(*grid.p), a, indexing="ij",
+        )
+        mu, s2 = P / B, P / B**2
+        vb = vbar_from(CountFamily(family), W, mu, s2, A, 1)
+        var = (1.0 - W) * (vb + (1.0 - W) * s2)
+        acf1 = (1.0 - W) * s2 * R / np.where(var > 0, var / (1.0 - W), np.nan)
+        mom = SampleMoments.from_series(y)
+        obj = ((1.0 - W) * mu - mom.ybar) ** 2 + (var - mom.s2) ** 2 + (acf1 - mom.r1) ** 2
+        idx = np.unravel_index(np.argmin(np.where((var > 0) & (vb > 0), obj, np.inf)), obj.shape)
+        assert init == Params(
+            omega=float(W[idx]), rho=float(R[idx]), beta=float(B[idx]), p=float(P[idx]),
+            a=float(A[idx]), c=1,
+        )
+
 
 class TestFit:
     def test_recovery_zmp_gar1(self):
@@ -200,6 +233,20 @@ class TestFit:
         assert r1.params_hat == r2.params_hat
         assert r1.iterations == r2.iterations
         np.testing.assert_array_equal(r1.filtered, r2.filtered)
+
+    def test_rho_at_a_bound_is_noted(self):
+        # iid counts end at rho = 0; a near-unit-root series at rho = 0.999;
+        # both solves stop on the gradient test with rho held at its bound
+        rng = np.random.default_rng(0)
+        iid = rng.poisson(3.0, 300) * (rng.random(300) > 0.2)
+        persistent = simulate_counts(
+            ModelSpec.create("zmp", "gar1", omega=0.1, rho=0.995, beta=0.5, p=2.0), 300, 2
+        )
+        for y, bound in ((iid, 0.0), (persistent, estimation._RHO_MAX)):
+            res = fit(y, "zmp", "gar1")
+            assert res.params_hat.rho == bound
+            assert res.converged
+            assert res.notes == [f"rho ended at the bound {bound:g} of its solve"]
 
     def test_solve_ef_block_uses_spec_start(self):
         y = simulate_counts(SPEC, 800, 44)
@@ -292,6 +339,32 @@ class TestFitEngine:
         assert isinstance(est, dict), est
         for key, value in expected.items():
             assert est[key] == pytest.approx(value, rel=1e-4), key
+
+    # the benchmark's first mc_zmp ops: children 0 and 1 of seed 7919 on each
+    # row, pinned exactly with the fit's evaluation count
+    PINNED_EXACT = [
+        (0, 0, 19, {"rho": 0.789502677162663, "omega": 0.1902152185279734,
+                    "beta": 0.4863560718330309, "p": 3.8657872179975374, "a": 0.0}),
+        (0, 1, 13, {"rho": 0.8290038210869279, "omega": 0.195125192412644,
+                    "beta": 0.4206585795401782, "p": 3.801817214683099, "a": 0.0}),
+        (1, 0, 10, {"rho": 0.7991134798537018, "omega": -0.21753570429468744,
+                    "beta": 2.037063033821677, "p": 4.038343037863663, "a": 0.0}),
+        (1, 1, 13, {"rho": 0.8020399237825305, "omega": -0.2376631954448553,
+                    "beta": 1.6625701097425432, "p": 3.562716958081185, "a": 0.0}),
+    ]
+
+    @pytest.mark.parametrize("row,child,n_eval,expected", PINNED_EXACT)
+    def test_benchmark_replicates_pinned_exactly(self, monkeypatch, row, child, n_eval, expected):
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "fit", recorded)
+        est = run_replicate(self.ROWS[row], np.random.SeedSequence(7919).spawn(2)[child])
+        assert est == expected
+        assert fits[0].n_eval == n_eval
 
     def test_objective_evaluation_budget(self, monkeypatch):
         calls = []

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmcounts.filtering import (
+    _GAIN_TOL,
+    CLAMP_EPS,
     FilterState,
     forward_adjoint,
     forward_pass,
@@ -172,20 +174,94 @@ class TestFullPass:
 
 class TestVarianceRecursion:
     def test_gain_bound_and_contraction(self):
-        cp, gain, jvar, cf = variance_path(200, 0.8, 0.8, 1.0, 0.8 * 3.0)
+        cp, gain, jvar, cf, _ = variance_path(200, 0.8, 0.8, 1.0, 0.8 * 3.0)
         assert np.all(gain * 0.8 >= 0)
         assert np.all(gain * 0.8 < 1)
         assert np.all(cf <= cp + 1e-15)
 
     def test_pred_var_window(self):
-        cp, _, _, _ = variance_path(200, 0.8, 0.8, 1.0, 0.8 * 3.0)
+        cp, _, _, _, _ = variance_path(200, 0.8, 0.8, 1.0, 0.8 * 3.0)
         assert np.all(cp >= (1 - 0.8**2) * 1.0 - 1e-12)
         assert np.all(cp <= 1.0 + 1e-12)
 
     def test_fixed_point_reached(self):
-        cp, gain, _, _ = variance_path(500, 0.8, 0.8, 1.0, 0.8 * 3.0)
+        cp, gain, _, _, _ = variance_path(500, 0.8, 0.8, 1.0, 0.8 * 3.0)
         assert cp[-1] == cp[-2]
         assert gain[-1] == gain[-2]
+
+
+def reference_pass(y, a0, a1, noise, rho, mu, sigma2, lam0, c0):
+    """The module's recursion step by step on Python floats: the variance
+    recursion is held from the first step whose gain moved by at most
+    _GAIN_TOL relative; the intensity update runs as
+    lhat_t = (s_t*rho)*lhat_{t-1} + (s_t*(1-rho)*mu + K_t*(y_t - a0)), with
+    s_t = 1 - K_t*a1, and if any update is non-positive the whole path is
+    redone as s_t*(rho*lhat_{t-1} + (1-rho)*mu) + K_t*(y_t - a0), floored at
+    CLAMP_EPS.  Returns per-step lists and the settle index."""
+    cp, gain, jvar, cf = [], [], [], []
+    c_prev, k_last, held = c0, float("inf"), None
+    for _ in y:
+        if held is None:
+            c_pred = rho**2 * c_prev + (1.0 - rho**2) * sigma2
+            j = a1**2 * c_pred + noise
+            k = a1 * c_pred / j
+            c_prev = (1.0 - k * a1) * c_pred
+            if abs(k - k_last) <= _GAIN_TOL * max(k, 1e-300):
+                held = (c_pred, j, k, c_prev)
+            k_last = k
+            step = (c_pred, j, k, c_prev)
+        else:
+            step = held
+        for out, v in zip((cp, jvar, gain, cf), step):
+            out.append(v)
+    settle = max(
+        [t for t in range(1, len(gain)) if gain[t] != gain[t - 1]], default=0
+    )
+    lam, lam_f = lam0, []
+    for t, y_t in enumerate(y):
+        s = 1.0 - gain[t] * a1
+        lam = s * rho * lam + (s * (1.0 - rho) * mu + gain[t] * (y_t - a0))
+        lam_f.append(lam)
+    clamped = [v <= 0 for v in lam_f]
+    if any(clamped):
+        lam, lam_f, clamped = lam0, [], []
+        for t, y_t in enumerate(y):
+            lam = (1.0 - gain[t] * a1) * (rho * lam + (1.0 - rho) * mu) + gain[t] * (y_t - a0)
+            clamped.append(lam <= 0)
+            lam = CLAMP_EPS if lam <= 0 else lam
+            lam_f.append(lam)
+    return lam_f, cf, cp, gain, jvar, clamped, settle
+
+
+class TestForwardPassReference:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 160),
+        rho=st.floats(0.0, 0.99),
+        a0=st.floats(-1.0, 1.5),
+        a1=st.floats(0.3, 1.5),
+        noise=st.floats(0.1, 10.0),
+        mu=st.floats(0.2, 10.0),
+        sigma2=st.floats(0.1, 20.0),
+        c0=st.sampled_from([0.0, 0.4]),
+    )
+    def test_equals_the_stepwise_recursion(self, seed, n, rho, a0, a1, noise, mu, sigma2, c0):
+        # n spans the transient, the held tail and, for rho near 1, a series
+        # too short to settle; a0 > 0.5 floors some steps
+        y = np.random.default_rng(seed).poisson(mu, n).astype(float)
+        lam0 = mu
+        fp = forward_pass(y, (a0, a1, noise), rho, mu, sigma2, lam0, c0=c0)
+        lam_f, cf, cp, gain, jvar, clamped, settle = reference_pass(
+            y.tolist(), a0, a1, noise, rho, mu, sigma2, lam0, c0
+        )
+        for got, want in ((fp.lam_f, lam_f), (fp.cp, cp), (fp.gain, gain), (fp.jvar, jvar),
+                          (fp.cf, cf), (fp.clamped, clamped)):
+            assert np.array_equal(got, np.array(want))
+        assert fp.settle == settle
+        pred = rho * np.array([lam0] + lam_f[:-1]) + (1.0 - rho) * mu
+        assert np.array_equal(fp.pred, pred)
+        assert np.array_equal(fp.innovation, y - a0 - a1 * pred)
 
 
 class TestForwardAdjoint:
@@ -207,12 +283,12 @@ class TestForwardAdjoint:
         theta = np.array([a0, 0.8, noise, rho, 3.0, 2.0, 2.5])
 
         def functional(th):
-            lam_f, _, cp, _, jvar, _ = forward_pass(y, th[:3], *th[3:], c0=c0)
-            pred = th[3] * np.concatenate([[th[6]], lam_f[:-1]]) + (1.0 - th[3]) * th[4]
-            return weights[0] @ pred + weights[1] @ cp + weights[2] @ jvar
+            fp = forward_pass(y, th[:3], *th[3:], c0=c0)
+            pred = th[3] * np.concatenate([[th[6]], fp.lam_f[:-1]]) + (1.0 - th[3]) * th[4]
+            return weights[0] @ pred + weights[1] @ fp.cp + weights[2] @ fp.jvar
 
         out = forward_pass(y, theta[:3], *theta[3:], c0=c0)
-        grad = forward_adjoint(y, theta[:3], *theta[3:], out, weights, c0=c0)
+        grad = forward_adjoint(theta[:3], *theta[3:], out, weights, c0=c0)
         for d in rng.normal(size=(3, 7)):
             if rho == 0.0:
                 d[3] = 0.0  # central differences would leave the domain
