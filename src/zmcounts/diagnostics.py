@@ -123,10 +123,12 @@ def fitted_marginal_probs(spec: ModelSpec, kmax: int) -> np.ndarray:
     atom (exact for both intensity families, whose marginals are gamma), and
     the clip adds -E[min(0, g_k)], in closed form for intensity laws within
     lambda = 256.  ZMNB and wider ZMP laws are averaged by Gauss rules
-    (:func:`observation._quadrature_marginal_cdf`): against adaptive
-    quadrature about 1e-9 for omega >= 0 and 1e-5 for omega < 0 while the
-    intensity scale 1/beta is a few units; the error grows on wider laws
-    (2.5e-4 at beta = 0.05, p = 1, ZMNB c = 1).
+    (:func:`observation._quadrature_marginal_cdf`, whose P(Y=0) is also the
+    fit's ZMNB zero mass): against adaptive quadrature about 1e-9 for
+    omega >= 0 and 1e-5 for omega < 0 while the intensity scale 1/beta is a
+    few units.  The error grows on laws much wider than the count scale: for
+    ZMNB c = 1, 2.5e-4 at beta 0.05, p 1, a 0.5 and 1.9e-2 at beta 0.01,
+    p 0.3, a 3 (1.7e-3 at c = 0).
     """
     pp = spec.params
     b, p, w = pp.beta, pp.p, pp.omega

@@ -469,26 +469,34 @@ class _FitCore:
         zero mass P0, and zero where the tie is pinned at a bound.
 
         For ZMP at omega >= 0, P0 = omega + (1-omega)*Z with
-        Z = (beta/(beta+1))^p in closed form.  For ZMP at omega < 0, P0's
-        partials in omega and beta are closed form
+        Z = (beta/(beta+1))^p in closed form.  Otherwise P0's partials are
+        taken in (omega, beta, p[, a]) and carried to (mu, sigma2) through
+        beta = mu/sigma2 and p = mu^2/sigma2.  For ZMP at omega < 0 those in
+        omega and beta are closed form
         (:func:`~zmcounts.observation.zmp_zero_mass_slopes`) and the one in
         p is a central difference of :func:`marginal_zero_prob`.  For ZMNB
-        all four are central differences."""
+        all four are central differences; all but the one in p keep the
+        gamma shape, so they share one cached Gauss rule."""
+        zmnb = self.family == CountFamily.ZMNB
         if not _OMEGA_MIN < w < _OMEGA_MAX:
-            return (0.0,) * (3 if self.family == CountFamily.ZMNB else 2)
-        if self.family == CountFamily.ZMP and w < 0.0:
-            beta = mu / sigma2
-            p = mu * beta
+            return (0.0,) * (3 if zmnb else 2)
+        beta = mu / sigma2
+        p = mu * beta
+        if zmnb:
+            theta = np.array([w, beta, p, self.a])
+            d_w, d_beta, d_p, d_a = (
+                (marginal_zero_prob(self.family, *(theta + h), self.c)
+                 - marginal_zero_prob(self.family, *(theta - h), self.c)) / (2.0 * h.max())
+                for h in np.diag(_JAC_STEP * np.maximum(np.abs(theta), 1e-3))
+            )
+            slope_a = (-d_a / d_w,)
+        elif w < 0.0:
             d_w, d_beta = zmp_zero_mass_slopes(w, beta, p)
             hi, lo = p * (1.0 + _JAC_STEP), p * (1.0 - _JAC_STEP)
             d_p = (marginal_zero_prob(self.family, w, beta, hi)
                    - marginal_zero_prob(self.family, w, beta, lo)) / (hi - lo)
-            # beta = mu/sigma2 and p = mu^2/sigma2
-            return (-(d_beta / sigma2 + 2.0 * beta * d_p) / d_w,
-                    (beta * d_beta + p * d_p) / (sigma2 * d_w))
-        if self.family == CountFamily.ZMP:
-            beta = mu / sigma2
-            p = mu * beta
+            slope_a = ()
+        else:
             log_z = p * (math.log(beta) - math.log(beta + 1.0))
             z = math.exp(log_z)
             scale = -(1.0 - w) * z / (1.0 - z)  # times d log Z
@@ -496,15 +504,9 @@ class _FitCore:
                 scale * (beta / (beta + 1.0) + 2.0 * log_z / mu),
                 -scale * (p / (beta + 1.0) + log_z) / sigma2,
             )
-        theta = np.array([w, mu, sigma2, self.a])
-        grad = np.empty(4)  # of the residual p0hat - P0, whose ratios are P0's
-        for i in range(4):
-            step = _JAC_STEP * max(abs(theta[i]), 1e-3)
-            hi, lo = theta.copy(), theta.copy()
-            hi[i] += step
-            lo[i] -= step
-            grad[i] = (self.zeros_resid(*hi) - self.zeros_resid(*lo)) / (2.0 * step)
-        return tuple(-grad[1:] / grad[0])
+        # beta = mu/sigma2 and p = mu^2/sigma2
+        return (-(d_beta / sigma2 + 2.0 * beta * d_p) / d_w,
+                (beta * d_beta + p * d_p) / (sigma2 * d_w)) + slope_a
 
     def tied_omega(self, mu, sigma2):
         """Zero-mass root in omega at fixed (mu, sigma2).
@@ -581,8 +583,8 @@ class _FitCore:
         fails at the solution.
 
         The fit converged if the solve stopped on the gradient test, the tie
-        is evaluable at the solution and, for ZMNB, a lies strictly inside
-        its bounds.
+        is evaluable at the solution and, for ZMNB, a and the tied omega lie
+        strictly inside their bounds.
         """
         zmnb = self.family == CountFamily.ZMNB
         k = 2 if self.ear1 else 3
@@ -624,7 +626,7 @@ class _FitCore:
         stop = _stop_reason(res)
         converged = (
             stop == "gradient" and w is not None and res.fun < _BIG
-            and (not zmnb or _A_MIN < self.a < _A_MAX)
+            and (not zmnb or (_A_MIN < self.a < _A_MAX and _OMEGA_MIN < w < _OMEGA_MAX))
         )
         if w is None:
             w = w0

@@ -622,13 +622,14 @@ def fit_core(model, n, seed, per_step):
 
 class TestObjectiveGradient:
     # objective values of the finite-difference engine at seeded points; the
-    # analytic gradient must leave them bit-identical
+    # analytic gradient must leave them bit-identical.  The ZMNB value's tied
+    # omega is that of the Gauss-rule zero mass of marginal_zero_prob
     PINNED = [
         (("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), True, (7.5, 0.7, 15.0), 4.047138018463497),
         (("zmp", "gar1", -0.2, 0.8, 2.0, 4.0, 0.0), False, (2.1, 0.75, 1.1), 1.7878599638574084),
         (("zmp", "ear1", 0.3, 0.7, 0.5, 1.0, 0.0), True, (2.2, 0.6), 2.519149893893033),
         (("zmnb", "gar1", 0.3, 0.8, 0.5, 1.0, 0.5), False, (2.2, 0.75, 4.0, 0.5),
-         2.9483830909278765),
+         2.9483141721540247),
     ]
 
     @pytest.mark.parametrize("model,per_step,x,value", PINNED)
@@ -688,3 +689,24 @@ class TestZmnbGridEnd:
         assert res.params_hat.a == estimation._A_MIN
         assert not res.converged
         assert res.notes == ["a ended at the bound 0.0001 of its solve"]
+
+    def test_omega_at_its_tie_bound_is_not_converged(self, monkeypatch):
+        # criterion-3 replicate 85: the solve stops on its gradient test with
+        # a inside its bounds, but the tied omega sits at its floor, where the
+        # zero mass is not matched
+        row = ExperimentRow("zmnb", "gar1", omega=0.3, rho=0.8, beta=0.5, p=1.0, a=0.5, c=1,
+                            n=1000, replicates=1)
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "fit", recorded)
+        seed = np.random.SeedSequence(20240811).spawn(200)[85]
+        assert run_replicate(row, seed) == "non_converged"
+        res = fits[0]
+        assert res.stop == "gradient"
+        assert estimation._A_MIN < res.params_hat.a < estimation._A_MAX
+        assert not res.converged
+        assert res.notes == ["omega ended at the bound -0.95 of its zero-mass tie"]

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import gammainccinv
+from scipy.special import gammainc, gammainccinv, gammaincinv
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import nbinom, poisson
 
+from zmcounts.diagnostics import fitted_marginal_probs
 from zmcounts.errors import InfeasibleOmegaError, InvalidSpecError
 from zmcounts.intensity import simulate_intensity
 from zmcounts.observation import (
@@ -17,6 +18,7 @@ from zmcounts.observation import (
     ModelSpec,
     Params,
     _clip_top,
+    _gamma_rule,
     _zmp_clip_terms,
     baseline_zero_prob,
     clipped_coefficient_jacobian,
@@ -314,6 +316,66 @@ class TestMarginalZeroProb:
         zb = (1.0 / (1.0 + 0.5 * lam)) ** (1 / 0.5)
         mc = np.mean(0.3 + 0.7 * zb)
         assert marginal_zero_prob(ZMNB, 0.3, 2.0, 4.0, a=0.5, c=1) == pytest.approx(mc, abs=3e-4)
+
+    # (omega, beta, p) at a 0.5, c 1, with the tolerance of the Gauss rules:
+    # the Legendre rule over the clipped tail limits omega < 0.  The last is
+    # the zero mass of the pinned ZMNB objective value (test_estimation.py)
+    @pytest.mark.parametrize("omega,beta,p,tol", [
+        (0.3, 0.5, 0.5, 1e-10),
+        (0.3, 0.5, 0.7, 1e-10),
+        (-0.1, 0.5, 0.6, 1e-7),
+        (0.3, 600.0, 600.0, 1e-10),
+        (0.3, 0.55, 1.21, 1e-10),
+    ])
+    def test_zmnb_against_adaptive_quadrature(self, omega, beta, p, tol):
+        def cell(u):  # the zero mass at the intensity of gamma CDF u
+            lam = gammaincinv(p, u) / beta
+            return max(omega + (1.0 - omega) * (1.0 + 0.5 * lam) ** -2.0, 0.0)
+
+        kink = None
+        if omega < 0.0:  # the clip's, where (1 + a*lam)^(-1/a) = -omega/(1-omega)
+            kink = [gammainc(p, beta * ((-omega / (1.0 - omega)) ** -0.5 - 1.0) / 0.5)]
+        ref, _ = integrate.quad(cell, 0.0, 1.0, points=kink, epsabs=1e-14, epsrel=1e-13,
+                                limit=200)
+        assert marginal_zero_prob(ZMNB, omega, beta, p, a=0.5, c=1) == pytest.approx(ref, abs=tol)
+
+    def test_gamma_rule_is_shared_read_only(self):
+        # the tie's root search, the coefficients and the ProbTable share one
+        # cached rule per shape, which no caller may change
+        nodes, weights = _gamma_rule(1.21)
+        assert _gamma_rule(1.21)[0] is nodes
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        fresh = _gamma_rule.__wrapped__(1.21)
+        assert np.array_equal(fresh[0], nodes) and np.array_equal(fresh[1], weights)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        zmnb=st.booleans(),
+        c=st.sampled_from([0, 1]),
+        omega=st.floats(-0.4, 0.6),
+        beta=st.floats(0.5, 3.0),
+        p=st.floats(0.5, 6.0),
+        a=st.floats(0.1, 1.0),
+    )
+    def test_agrees_with_the_probtable(self, zmnb, c, omega, beta, p, a):
+        a = a if zmnb else 0.0
+        spec = ModelSpec.create(
+            "zmnb" if zmnb else "zmp", "gar1", omega=omega, rho=0.5, beta=beta, p=p, a=a, c=c
+        )
+        mean, var = marginal_count_moments(spec)
+        kmax = int(mean + 300.0 * np.sqrt(var))  # past the heavy ZMNB tails
+        probs = fitted_marginal_probs(spec, kmax)
+        assert marginal_zero_prob(spec.family, omega, beta, p, a, c) == pytest.approx(
+            probs[0], rel=1e-12, abs=1e-14
+        )
+        # the moments' accuracy: ZMP closed forms on both sides; ZMNB tables by
+        # Gauss rules (1e-9 here); the deflated ZMNB coefficients by
+        # quadrature over their kinks, good to about 1e-3 (measured up to
+        # 2.5e-3 in the variance on this box)
+        rel = 1e-10 if not zmnb else 1e-7 if omega >= 0.0 else 5e-3
+        k = np.arange(kmax + 1.0)
+        assert probs @ k == pytest.approx(mean, rel=rel)
+        assert probs @ k**2 - (probs @ k) ** 2 == pytest.approx(var, rel=rel)
 
 
 class TestModelSpec:
