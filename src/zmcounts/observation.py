@@ -32,9 +32,10 @@ from scipy.special import (
     nbdtrik,
     nbdtrin,
     ndtri,
+    pdtr,
     roots_legendre,
 )
-from scipy.stats import nbinom, poisson
+from scipy.stats import nbinom
 
 from .errors import InfeasibleOmegaError, InvalidSpecError
 from .intensity import IntensityFamily, IntensitySpec
@@ -781,6 +782,38 @@ def count_acf(spec: ModelSpec, k: int) -> float:
     return signal * spec.params.rho**k / (signal + noise)
 
 
+# the largest double below 1: the cap on the baseline CDF level u
+_U_MAX = np.nextafter(1.0, 0.0)
+
+
+def _poisson_quantile(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Smallest k >= 0 with ``pdtr(k, lam) >= u``, elementwise, for 0 < u < 1.
+
+    The search starts at the Cornish-Fisher guess
+    ``floor(lam + sqrt(lam)*z + (z**2 - 1)/6)`` with ``z = ndtri(u)``, which
+    is at most a step from the answer except far in the tails, and moves each
+    draw one count at a time until the CDF brackets u; only the draws still
+    moving are evaluated.
+    ``scipy.stats.poisson.ppf`` makes the same ``pdtr`` comparison after its
+    ``pdtrik`` inversion but moves at most one step, so it returns the same
+    count except where u lies within a few ulps of a CDF step or of 0 or 1,
+    where ``pdtrik`` can miss by more and this search stays exact.
+    """
+    z = ndtri(u)
+    k = np.maximum(np.floor(lam + np.sqrt(lam) * z + (z * z - 1.0) / 6.0), 0.0)
+    low = pdtr(k, lam) < u
+    i = np.flatnonzero(low)  # step up: ends because pdtr(k, lam) -> 1 > u
+    while i.size:
+        k[i] += 1.0
+        i = i[pdtr(k[i], lam[i]) < u[i]]
+    i = np.flatnonzero(~low & (k > 0))  # step down: ends at k = 0 at the latest
+    while i.size:
+        i = i[pdtr(k[i] - 1.0, lam[i]) >= u[i]]
+        k[i] -= 1.0
+        i = i[k[i] > 0]
+    return k
+
+
 def zm_sample(
     family: CountFamily,
     lambda_path: np.ndarray,
@@ -797,10 +830,21 @@ def zm_sample(
     ``on_infeasible="truncate"`` violating steps fall back to the boundary
     (zero-truncated) law implied by the same inverse-CDF construction instead
     of raising.
+
+    The ZMP quantile is the smallest k with ``pdtr(k, lambda_t) >= u``, found
+    by a search from a normal-approximation start (``_poisson_quantile``); u
+    is capped below 1, so the CDF reaches it and the search ends.  The ZMNB
+    quantile is ``nbinom.ppf``.
+    A non-positive or non-finite lambda_t raises ``InvalidSpecError`` naming
+    the first such index.
     """
     lam = np.asarray(lambda_path, dtype=float)
-    if np.any(lam <= 0):
-        raise InvalidSpecError("intensity path must be strictly positive")
+    bad = ~((lam > 0) & (lam < np.inf))
+    if np.any(bad):
+        t = int(np.argmax(bad))
+        raise InvalidSpecError(
+            f"intensity path must be finite and strictly positive; lambda[{t}] = {lam[t]}"
+        )
     if on_infeasible not in ("raise", "truncate"):
         raise InvalidSpecError(f"unknown on_infeasible mode: {on_infeasible!r}")
     if on_infeasible == "raise" and params.omega < 0:
@@ -810,12 +854,15 @@ def zm_sample(
             t = int(np.argmax(bad))
             raise InfeasibleOmegaError(params.omega, -p0[t] / (1 - p0[t]), lam[t], t)
     w = params.omega
-    u = (rng.random(lam.shape) - w) / (1.0 - w)
+    # u <= 1 in floating point; under deflation the largest U, 1 - 2**-53,
+    # can round to u = 1.0 (at omega = -0.2, for one), and the cap keeps
+    # every quantile finite
+    u = np.minimum((rng.random(lam.shape) - w) / (1.0 - w), _U_MAX)
     y = np.zeros(lam.shape, dtype=np.int64)
     pos = u > 0.0  # u <= 0 only under inflation: emit the modified zero directly
     if np.any(pos):
         if family == CountFamily.ZMP:
-            q = poisson.ppf(u[pos], lam[pos])
+            q = _poisson_quantile(u[pos], lam[pos])
         else:
             r, q0 = _nb_shape_prob(lam[pos], params.a, params.c)
             q = nbinom.ppf(u[pos], r, q0)

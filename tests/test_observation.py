@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammainccinv, gammaincinv
+from scipy.special import gammainc, gammainccinv, gammaincinv, pdtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import nbinom, poisson
 
@@ -19,6 +19,7 @@ from zmcounts.observation import (
     Params,
     _clip_top,
     _gamma_rule,
+    _poisson_quantile,
     _zmp_clip_terms,
     baseline_zero_prob,
     clipped_coefficient_jacobian,
@@ -296,6 +297,107 @@ class TestSampling:
         e = y - 0.8 * lam
         r1 = np.mean(e[:-1] * e[1:]) / e.var()
         assert abs(r1) < 4 / np.sqrt(len(e))
+
+
+    @pytest.mark.parametrize("family,pp", [(ZMP, params(omega=0.2)),
+                                           (ZMNB, params(omega=0.2, a=0.5))])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_intensity_raises_with_index(self, family, pp, value):
+        lam = np.array([1.0, 2.0, 3.0, value, np.nan])
+        with pytest.raises(InvalidSpecError, match=r"lambda\[3\]"):
+            zm_sample(family, lam, pp, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("family,a", [(ZMP, 0.0), (ZMNB, 0.5)])
+    def test_top_uniform_gives_a_finite_count(self, family, a):
+        # at omega = -0.2 the largest uniform, 1 - 2**-53, rounds to u = 1.0
+        class TopUniform:
+            def random(self, shape):
+                return np.full(shape, 1.0 - 2.0**-53)
+
+        lam = np.array([0.5, 2.0, 40.0])
+        y = zm_sample(family, lam, params(omega=-0.2, a=a), TopUniform(),
+                      on_infeasible="truncate")
+        assert np.all((y > lam) & (y < 1000))
+
+    # sha256 of the little-endian int64 counts, recorded while the ZMP
+    # quantile was still scipy.stats.poisson.ppf: a sampler change that moves
+    # any seeded draw fails here.  The two rows are the mc_zmp benchmark's
+    # criterion-1 and -2 rows at n = 1000, drawn as run_replicate draws them
+    # for ops 0-15 of seed 1; the long series use the cli_long ZMP models
+    MC_ROWS = (
+        (dict(omega=0.2, rho=0.8, beta=0.5, p=4.0), "raise"),
+        (dict(omega=-0.2, rho=0.8, beta=2.0, p=4.0), "truncate"),
+    )
+    MC_DIGEST = "543d9ce712d65c445b4cd807b3e540efbd1bd8ac4139749b864ff929849814ae"
+    LONG_SERIES = [
+        ("gar1", 4.0, "42d257fbbc3a0ec3947fd3b1e3afa295ab3c5fb3a3fd49317e79d1375a3c9530"),
+        ("ear1", 1.0, "a502614b60a49b2dc37ca26aa11856bfe85f30c4dda2afb51ed7ed2a5560b31d"),
+    ]
+
+    def test_seeded_replicate_draws_pinned(self):
+        h = hashlib.sha256()
+        for i in range(16):
+            row, mode = self.MC_ROWS[i % 2]
+            spec = ModelSpec.create("zmp", "gar1", **row)
+            rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(i,)))
+            lam = simulate_intensity(spec.intensity, 1000, rng)
+            y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible=mode)
+            h.update(y.astype("<i8").tobytes())
+        assert h.hexdigest() == self.MC_DIGEST
+
+    @pytest.mark.parametrize("intensity,p,digest", LONG_SERIES)
+    def test_seeded_long_series_pinned(self, intensity, p, digest):
+        spec = ModelSpec.create("zmp", intensity, omega=0.2, rho=0.8, beta=0.5, p=p)
+        rng = np.random.default_rng(20240811)
+        lam = simulate_intensity(spec.intensity, 100_000, rng)
+        y = zm_sample(spec.family, lam, spec.params, rng)
+        assert hashlib.sha256(y.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def is_poisson_quantile(k, u, lam):
+    """k is the smallest count with pdtr(k, lam) >= u."""
+    return (pdtr(k, lam) >= u) & ((k == 0) | (pdtr(k - 1.0, lam) < u))
+
+
+class TestPoissonQuantile:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        log_lam=st.floats(np.log(1e-6), np.log(1e4)),
+        u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_poisson_ppf(self, log_lam, u):
+        lam, uu = np.array([np.exp(log_lam)]), np.array([u])
+        k = _poisson_quantile(uu, lam)
+        assert is_poisson_quantile(k, uu, lam).all()
+        # poisson.ppf corrects pdtrik's root by at most one step, which is
+        # not always enough within a few ulps of a CDF step or at u a few
+        # ulps from 0 or 1; wherever it is exact the two agree
+        ref = poisson.ppf(uu, lam)
+        if is_poisson_quantile(ref, uu, lam).all():
+            assert k[0] == ref[0]
+
+    def test_random_draws_equal_poisson_ppf(self):
+        rng = np.random.default_rng(23)
+        lam = np.exp(rng.uniform(np.log(1e-3), np.log(300.0), 200_000))
+        u = 1.0 - rng.random(lam.size)  # in (0, 1]; 1.0 does not occur at this seed
+        np.testing.assert_array_equal(_poisson_quantile(u, lam), poisson.ppf(u, lam))
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.1, 1.0, 3.7, 42.0, 255.0, 1e4])
+    def test_exact_at_cdf_steps(self, lam):
+        ks = np.arange(0.0, np.floor(lam + 10.0 * np.sqrt(lam)) + 1.0)
+        cdf = pdtr(ks, lam)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        u = u[(u > 0.0) & (u < 1.0)]
+        k = _poisson_quantile(u, np.full(u.size, lam))
+        assert is_poisson_quantile(k, u, lam).all()
+        at_step = np.isin(u, cdf)
+        assert np.all(pdtr(k[at_step], lam) == u[at_step])
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-3, 255.0, 1e4])
+    @pytest.mark.parametrize("u", [2.0**-53, 1.0 - 2.0**-53])
+    def test_exact_in_the_tails(self, lam, u):
+        k = _poisson_quantile(np.array([u]), np.array([lam]))
+        assert is_poisson_quantile(k, u, lam).all()
 
 
 class TestMarginalZeroProb:
