@@ -11,18 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 from scipy.stats import chi2
 
 from .errors import EstimationError, InvalidSpecError
 from .observation import (
-    _MAX_CLIP_LAMBDA,
     CountFamily,
     ModelSpec,
     Params,
-    _clip_top,
-    _quadrature_marginal_cdf,
-    _zmp_clip_terms,
+    _marginal_probs,
     as_count_series,
     conditional_moments,
     truncated_moments,
@@ -122,36 +118,18 @@ def fitted_marginal_probs(spec: ModelSpec, kmax: int) -> np.ndarray:
     average of g_k is a negative-binomial mixture with a zero-modification
     atom (exact for both intensity families, whose marginals are gamma), and
     the clip adds -E[min(0, g_k)], in closed form for intensity laws within
-    lambda = 256.  ZMNB and wider ZMP laws are averaged by Gauss rules
+    lambda = 256 from the terms that the filter's coefficients read.  ZMNB
+    and wider ZMP laws are averaged by Gauss rules
     (:func:`observation._quadrature_marginal_cdf`, whose P(Y=0) is also the
     fit's ZMNB zero mass): against adaptive quadrature about 1e-9 for
     omega >= 0 and 1e-5 for omega < 0 while the intensity scale 1/beta is a
     few units.  The error grows on laws much wider than the count scale: for
     ZMNB c = 1, 2.5e-4 at beta 0.05, p 1, a 0.5 and 1.9e-2 at beta 0.01,
-    p 0.3, a 3 (1.7e-3 at c = 0).
+    p 0.3, a 3 (1.7e-3 at c = 0).  :func:`observation._marginal_probs`
+    chooses between the two.
     """
     pp = spec.params
-    b, p, w = pp.beta, pp.p, pp.omega
-    top = _clip_top(b, p)
-    if spec.family == CountFamily.ZMP and (w >= 0.0 or top <= _MAX_CLIP_LAMBDA):
-        k = np.arange(kmax + 1.0)
-        log_base = (
-            p * np.log(b)
-            + gammaln(p + k)
-            - gammaln(k + 1.0)
-            - gammaln(p)
-            - (p + k) * np.log(b + 1.0)
-        )
-        probs = (1.0 - w) * np.exp(log_base)
-        probs[0] += w
-        if w < 0.0:
-            e0 = _zmp_clip_terms(w, b, p, top)[0, : kmax + 1]
-            clip = np.pad(e0, (0, kmax + 1 - len(e0)))
-            probs = np.maximum(probs - np.diff(clip, prepend=0.0), 0.0)
-        return probs
-    cdf = _quadrature_marginal_cdf(spec.family, w, b, p, pp.a, pp.c, np.arange(kmax + 1.0))
-    # rounding and the rules' error can leave far-tail increments below zero
-    return np.maximum(np.diff(cdf, prepend=0.0), 0.0)
+    return _marginal_probs(spec.family, pp.omega, pp.beta, pp.p, pp.a, pp.c, kmax)
 
 
 def empirical_probs(series, kmax: int) -> np.ndarray:

@@ -14,7 +14,8 @@ coefficients and the filter (:func:`~zmcounts.filtering.forward_adjoint`), is
 the estimating-equation system the bounded quasi-Newton solve drives to
 zero, in variables scaled by the start's magnitudes.  For ZMP at
 omega < 0 the derivatives of the clipped law's coefficients and zero mass are
-closed form but for one central difference in the gamma shape p.
+closed form but for one central difference in the gamma shape p, and one
+call gives the coefficients with their Jacobian.
 ``(beta, p)`` are recovered as ``beta = mu/sigma2``, ``p = mu*beta``.
 Moment-based initializers (closed form where available, grid search
 otherwise) provide starting points.
@@ -34,11 +35,14 @@ from .filtering import forward_adjoint, forward_pass, gkf_filter
 from .filtering import variance_path  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .intensity import IntensityFamily
 from .observation import (
+    _DIFF_STEP,
     CountFamily,
     ModelSpec,
     Params,
+    _central_differences,
+    _moment_partials,
     as_count_series,
-    clipped_coefficient_jacobian,
+    clipped_coefficients,
     marginal_zero_prob,
     observation_coefficients,
     vbar_from,
@@ -54,8 +58,6 @@ _OMEGA_MIN = -0.95
 _OMEGA_MAX = 0.999
 _A_MIN = 1e-4
 _A_MAX = 10.0
-# relative step of the central differences
-_JAC_STEP = 1e-5
 _BIG = 1e18
 
 
@@ -363,7 +365,10 @@ class _FitCore:
         flat = _BIG if tangents is None else (_BIG, np.zeros(len(tangents)))
         if not (w < 1.0 and mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
             return flat
-        obs = observation_coefficients(self.family, w, mu, sigma2, self.a, self.c)
+        if w < 0.0 and tangents is not None:  # with their Jacobian, in one call
+            obs, jac = clipped_coefficients(self.family, w, mu, sigma2, self.a, self.c)
+        else:
+            obs = observation_coefficients(self.family, w, mu, sigma2, self.a, self.c)
         if not obs.noise > 0:
             return flat
         fp = forward_pass(self.yf, obs, rho, mu, sigma2, mu)
@@ -404,7 +409,9 @@ class _FitCore:
         # chain rule through h = y - a0 - a1*pred and J to the filter's
         # outputs (pred, cp, jvar), whose weights forward_adjoint carries
         # back to (a0, a1, noise, rho, mu, sigma2, lam0 = mu)
-        d_obs = self.coefficient_tangents(w, mu, sigma2, obs, tangents)
+        # jac's rows are in (omega, mu, sigma2[, a])
+        d_obs = (tangents[:, [0, 1, 3, 4][: len(jac)]] @ jac if w < 0.0
+                 else self.coefficient_tangents(w, mu, sigma2, obs, tangents))
         direct = -d_obs[:, 0] * float(g_h.sum()) - d_obs[:, 1] * float(g_h @ pred)
         w_pred = -obs.a1 * g_h
         if self.per_step:
@@ -423,40 +430,21 @@ class _FitCore:
         return q, direct + d_obs @ grad[:3] + tangents[:, [2, 1, 3, 1]] @ grad[3:]
 
     def coefficient_tangents(self, w, mu, sigma2, obs, tangents):
-        """Derivatives of the observation coefficients (a0, a1, noise) along
-        each row of ``tangents`` (see :meth:`deviance`): closed form
-        (0, -dw, d((1-w)*vbar)) for omega >= 0; for ZMP at omega < 0, the
-        closed-form :func:`~zmcounts.observation.clipped_coefficient_jacobian`
-        (a central difference in the gamma shape p alone inside it); central
-        differences of :func:`observation_coefficients` along each row for
-        the laws it averages by quadrature."""
-        moves = tangents[:, [0, 1, 3]]  # (omega, mu, sigma2)
+        """Derivatives of the observation coefficients (a0, a1, noise) at
+        omega >= 0 along each row of ``tangents`` (see :meth:`deviance`):
+        (0, -dw, d((1-w)*vbar)), where vbar is a polynomial, so a complex
+        step gives its derivative to rounding without a second copy of the
+        formula."""
+        dw, dmu, dsig = tangents[:, [0, 1, 3]].T
         # the dispersion moves only in ZMNB fits
-        da = tangents[:, 4] if tangents.shape[1] > 4 else np.zeros(len(moves))
-        if w >= 0.0:
-            dw, dmu, dsig = moves.T
-            # vbar is a polynomial, so a complex step gives its derivative to
-            # rounding without a second copy of the formula
-            step = 1e-20
-            dvb = vbar_from(
-                self.family, w + 1j * step * dw, mu + 1j * step * dmu,
-                sigma2 + 1j * step * dsig, self.a + 1j * step * da, self.c,
-            ).imag / step
-            vb = obs.noise / (1.0 - w)  # noise = (1-w)*vbar
-            return np.column_stack([np.zeros(len(moves)), -dw, (1.0 - w) * dvb - dw * vb])
-        if self.family == CountFamily.ZMP:
-            jac = clipped_coefficient_jacobian(w, mu, sigma2)
-            if jac is not None:
-                return moves @ jac
-        theta = np.array([w, mu, sigma2, self.a])
-        out = np.zeros((len(moves), 3))
-        for i, move in enumerate(np.column_stack([moves, da])):
-            if move.any():
-                step = _JAC_STEP / np.max(np.abs(move) / np.maximum(np.abs(theta), 1e-3))
-                hi = observation_coefficients(self.family, *(theta + step * move), self.c)
-                lo = observation_coefficients(self.family, *(theta - step * move), self.c)
-                out[i] = (np.array(hi) - np.array(lo)) / (2.0 * step)
-        return out
+        da = tangents[:, 4] if tangents.shape[1] > 4 else np.zeros(len(tangents))
+        step = 1e-20
+        dvb = vbar_from(
+            self.family, w + 1j * step * dw, mu + 1j * step * dmu,
+            sigma2 + 1j * step * dsig, self.a + 1j * step * da, self.c,
+        ).imag / step
+        vb = obs.noise / (1.0 - w)  # noise = (1-w)*vbar
+        return np.column_stack([np.zeros(len(tangents)), -dw, (1.0 - w) * dvb - dw * vb])
 
     def zeros_resid(self, w, mu, sigma2, a):
         beta = mu / sigma2
@@ -470,29 +458,28 @@ class _FitCore:
 
         For ZMP at omega >= 0, P0 = omega + (1-omega)*Z with
         Z = (beta/(beta+1))^p in closed form.  Otherwise P0's partials are
-        taken in (omega, beta, p[, a]) and carried to (mu, sigma2) through
-        beta = mu/sigma2 and p = mu^2/sigma2.  For ZMP at omega < 0 those in
-        omega and beta are closed form
+        taken in (omega, beta, p[, a]) and carried to (mu, sigma2) by
+        :func:`~zmcounts.observation._moment_partials`.  For ZMP at
+        omega < 0 those in omega and beta are closed form
         (:func:`~zmcounts.observation.zmp_zero_mass_slopes`) and the one in
         p is a central difference of :func:`marginal_zero_prob`.  For ZMNB
         all four are central differences; all but the one in p keep the
-        gamma shape, so they share one cached Gauss rule."""
+        gamma shape, so they share one cached Gauss rule, and the shapes
+        p +- h are those of the coefficients' differences."""
         zmnb = self.family == CountFamily.ZMNB
         if not _OMEGA_MIN < w < _OMEGA_MAX:
             return (0.0,) * (3 if zmnb else 2)
         beta = mu / sigma2
         p = mu * beta
         if zmnb:
-            theta = np.array([w, beta, p, self.a])
-            d_w, d_beta, d_p, d_a = (
-                (marginal_zero_prob(self.family, *(theta + h), self.c)
-                 - marginal_zero_prob(self.family, *(theta - h), self.c)) / (2.0 * h.max())
-                for h in np.diag(_JAC_STEP * np.maximum(np.abs(theta), 1e-3))
+            d_w, d_beta, d_p, d_a = _central_differences(
+                lambda x: marginal_zero_prob(self.family, *x, self.c),
+                np.array([w, beta, p, self.a]),
             )
             slope_a = (-d_a / d_w,)
         elif w < 0.0:
             d_w, d_beta = zmp_zero_mass_slopes(w, beta, p)
-            hi, lo = p * (1.0 + _JAC_STEP), p * (1.0 - _JAC_STEP)
+            hi, lo = p * (1.0 + _DIFF_STEP), p * (1.0 - _DIFF_STEP)
             d_p = (marginal_zero_prob(self.family, w, beta, hi)
                    - marginal_zero_prob(self.family, w, beta, lo)) / (hi - lo)
             slope_a = ()
@@ -504,9 +491,8 @@ class _FitCore:
                 scale * (beta / (beta + 1.0) + 2.0 * log_z / mu),
                 -scale * (p / (beta + 1.0) + log_z) / sigma2,
             )
-        # beta = mu/sigma2 and p = mu^2/sigma2
-        return (-(d_beta / sigma2 + 2.0 * beta * d_p) / d_w,
-                (beta * d_beta + p * d_p) / (sigma2 * d_w)) + slope_a
+        d_mu, d_sigma2 = _moment_partials(mu, sigma2, d_beta, d_p)
+        return (-d_mu / d_w, -d_sigma2 / d_w) + slope_a
 
     def tied_omega(self, mu, sigma2):
         """Zero-mass root in omega at fixed (mu, sigma2).
@@ -572,8 +558,9 @@ class _FitCore:
         bounded to [``_A_MIN``, ``_A_MAX``]), stops once the projected
         gradient's max-norm is at most ``tol`` (or the objective's relative
         decrease falls below 1e-15, after which it restarts once from where
-        it stopped) and gives up after ``max_iter`` iterations in all.  It solves in the scaled variables u = x/s,
-        s = max(|x0|, 1) per component of the clipped start, so that mu and
+        it stopped) and gives up after ``max_iter`` iterations in all.  It
+        solves in the scaled variables u = x/s, s = max(|x0|, 1) per
+        component of the clipped start, so that mu and
         sigma2 of a few units and rho below one move on comparable scales;
         each trial u*s is clipped into the raw bounds, where rounding could
         otherwise step past them.  Since s >= 1, the gradient test in u

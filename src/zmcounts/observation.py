@@ -460,29 +460,25 @@ def truncated_moments(family: CountFamily, lam, params: Params):
 
 
 @functools.lru_cache(maxsize=64)
-def _count_index(n: int):
-    """Constants of an n-term deflation sum with shifts j in {0, 1}: m, log m!
-    and the falling factorials m!/(m-j)! for m <= n, the gather index k+j, the
-    columns (1, 2k+1) for k < n, and the strict lower-triangular mask."""
-    m = np.arange(n + 1.0)
-    falling = np.vstack([np.ones_like(m), m])
-    gather = (np.arange(2)[:, None], np.arange(n) + np.arange(2)[:, None])
-    sum_cols = np.stack([np.ones(n), 2.0 * m[:n] + 1.0], axis=1)
-    out = (m, gammaln(m + 1.0), falling, sum_cols, np.tri(n, k=-1))
+def _term_index(n: int):
+    """Constants of the n-term sums of :func:`_zmp_clip_terms`, with shifts
+    j in {0, 1, 2}: m <= n+1, log m!, the falling factorials m!/(m-j)!, the
+    mask m <= k+j for k < n, and the weights 2k+1 of D2."""
+    m = np.arange(n + 2.0)
+    falling = np.array([np.ones_like(m), m, m * (m - 1.0)])
+    below = m <= np.arange(n)[:, None] + np.arange(3)[:, None, None]
+    out = (m, gammaln(m + 1.0), falling, below, 2.0 * m[:n] + 1.0)
     for arr in out:
         arr.flags.writeable = False  # shared by every caller
-    return out + (gather,)
-
-
-_SHAPES = np.arange(1.0, 2.0 * _MAX_CLIP_LAMBDA + 4.0)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _clip_knots(omega: float, top: float) -> np.ndarray:
     """The ZMP clip boundaries lam_k = gammainccinv(k+1, tau), tau =
     -omega/(1-omega), that lie below ``top``; they depend on omega alone.
-    Cached, so that the coefficients and their derivatives at one point
-    share them."""
+    Cached, so that the filter and the ProbTable at a fit's estimates share
+    them with its last evaluation."""
     tau = -omega / (1.0 - omega)
     lam_k = _clip_points(CountFamily.ZMP, np.arange(int(top) + 2.0), tau, 0.0, 1)
     if lam_k[-1] < top:  # lam_k > k whenever tau <= 1/2
@@ -492,117 +488,138 @@ def _clip_knots(omega: float, top: float) -> np.ndarray:
     return lam_k
 
 
-def _zmp_clip_terms(omega: float, beta: float, p: float, top: float) -> np.ndarray:
-    """``e[j, k] = E[lam^j min(0, g_k)]`` for j in {0, 1} under the Gamma(p,
-    rate beta) law, in closed form, for the k whose clip boundary lam_k lies
-    below ``top`` (at most _MAX_CLIP_LAMBDA); the terms of larger k vanish.
+def _zmp_clip_terms(omega: float, beta: float, ps: np.ndarray, lam_k: np.ndarray):
+    """The terms ``e[s, j, k] = E[lam^j min(0, g_k)]``, j in {0, 1, 2}, of
+    the ZMP clipped law under the Gamma(ps[s], rate beta) law, for each
+    shape of the column ``ps`` and each clip boundary lam_k of
+    :func:`_clip_knots` (the terms of larger k vanish), and their partials
+    in omega.
 
-    g_k < 0 exactly for lam > lam_k = gammainccinv(k+1, tau), tau = -omega/(1-omega),
-    so E[lam^j min(0, g_k)] = omega*E[lam^j; lam > lam_k] + (1-omega)*S_jk.  With
-    lam^j times the Poisson pmf at i equal to (i+j)!/i! times the pmf at i+j,
+    g_k < 0 exactly for lam > lam_k, so e = omega*E[lam^j; lam > lam_k] +
+    (1-omega)*S_jk with E[lam^j; lam > lam_k] = E[lam^j]*Q(p+j, beta*lam_k)
+    and, since lam^j times the Poisson pmf at i is (i+j)!/i! times the pmf
+    at i+j,
 
         S_jk = E[lam^j F(k|lam); lam > lam_k] = sum_{m<=k+j} m!/(m-j)! NB(m) Q(p+m, x_k),
 
     where NB is the NB(p, beta/(beta+1)) pmf, Q the regularized upper
-    incomplete gamma function and x_k = (beta+1)*lam_k.  With V the cumulative
-    sum of the weights and t_m(x) = x^(p+m) e^-x / Gamma(p+m+1) =
-    Q(p+m+1, x) - Q(p+m, x), summation by parts gives
-    S_jk = V_{k+j}*Q(p+k+j, x_k) - sum_{m<k+j} t_m(x_k)*V_m.
+    incomplete gamma function and x_k = (beta+1)*lam_k.  Q(p+m, z) is the
+    running sum Q(p, z) + sum_{i<m} t_i(z) of positive terms
+    t_i(z) = z^(p+i) e^-z / Gamma(p+i+1), at z = x_k and z = beta*lam_k.
+    The integrand min(0, g_k) vanishes at its kink lam_k, so
+    de/domega = E[lam^j; lam > lam_k] - S_jk.
+
+    Every step is elementwise, or a running sum or sum along a contiguous
+    last axis, so a shape's terms do not depend on the rest of the batch.
     """
-    lam_k = _clip_knots(omega, top)
     n = len(lam_k)
     if n == 0:
-        return np.zeros((2, 0))
-    m, log_fact, falling, _, below, gather = _count_index(n)
-    x = (beta + 1.0) * lam_k
-    y = beta * lam_k
-    lgam = gammaln(p + _SHAPES[: n + 2] - 1.0)  # log Gamma(p+m)
-    # t[k, m] = t_m(x_k) for m < n
-    t = np.exp(np.log(x)[:, None] * (p + m[:-1]) - (x[:, None] + lgam[1:-1]))
-    nb = np.exp(lgam[:-1] - (lgam[0] + log_fact)
-                + (p * math.log(beta / (beta + 1.0)) - m * math.log(beta + 1.0)))
-    v = np.cumsum(falling * nb, axis=1)  # v[j, m] = V_m for shift j
-    tail = v[:, :n] @ (t * below).T  # sum_{m<k} t_m(x_k)*V_m
-    q_x = np.empty((2, n))
-    q_x[0] = gammaincc(p + m[:n], x)  # q_x[j, k] = Q(p+k+j, x_k)
-    q_x[1] = q_x[0] + t.diagonal()
-    tail[1] += t.diagonal() * v[1, :n]
-    moments = np.array([omega, omega * p / beta])[:, None]  # omega*E[lam^j]
-    return moments * gammaincc(p + m[:2, None], y) + (1.0 - omega) * (v[gather] * q_x - tail)
+        empty = np.zeros((len(ps), 3, 0))
+        return empty, empty
+    m, log_fact, falling, below, _ = _term_index(n)
+    z = np.concatenate([(beta + 1.0) * lam_k, beta * lam_k])
+    log_z = np.log(z)
+    lgam = gammaln(ps + m)  # log Gamma(p+m)
+    # t[s, z, i] = t_i(z) at the shape ps[s], for i <= n
+    t = np.exp((ps * log_z - z)[:, :, None] + (log_z[:, None] * m[:-1] - lgam[:, None, 1:]))
+    # q[s, z, m] = Q(p+m, z) for m <= n+1
+    q = np.cumsum(np.concatenate([gammaincc(ps, z)[:, :, None], t], axis=2), axis=2)
+    nb = np.exp(lgam - (lgam[:, :1] + log_fact)
+                + (ps * math.log(beta / (beta + 1.0)) - m * math.log(beta + 1.0)))
+    s_jk = (q[:, None, :n] * below * (falling * nb[:, None])[:, :, None]).sum(axis=3)
+    moments = np.exp(lgam[:, :3] - lgam[:, :1]) / beta ** m[:3]  # E[lam^j]
+    beyond = moments[:, :, None] * q[:, n:, :3].transpose(0, 2, 1)
+    return omega * beyond + (1.0 - omega) * s_jk, beyond - s_jk
 
 
-def _zmp_clip_averages(omega: float, beta: float, p: float, top: float):
-    """Gamma(p, rate beta) averages ``(E[D1], E[lam*D1])`` and ``(E[D2],)`` of
-    the ZMP clipped law: sums over k of :func:`_zmp_clip_terms`."""
-    e = _zmp_clip_terms(omega, beta, p, top)
-    sums = e @ _count_index(e.shape[1])[3]
-    return sums[:, 0], sums[:1, 1]
+def _term_sums(e: np.ndarray) -> np.ndarray:
+    """The averages (E[D1], E[lam*D1], E[D2]) from terms ``e[..., j, k]``:
+    the sums over k of the rows j = 0 and j = 1, and of (2k+1) times row 0."""
+    odd = _term_index(e.shape[-1])[4]
+    rows = e[..., 0, :], e[..., 1, :], e[..., 0, :] * odd
+    return np.stack([row.sum(axis=-1) for row in rows], axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_index(n: int):
-    """Constants of the n-term sums of :func:`_zmp_clip_average_tangents`,
-    with shifts j in {0, 1, 2}: m <= n+1, the falling factorials
-    m!/(m-j)!, the mask m <= k+j for k < n, log m!, the matrix of the
-    partial sums over i < m of n+1 terms, and the weights that turn the
-    rows j = 0, 1 of n terms into the sums D1, lam*D1 and D2."""
-    m = np.arange(n + 2.0)
-    falling = np.array([np.ones_like(m), m, m * (m - 1.0)])
-    below = m <= np.arange(n)[:, None] + np.arange(3)[:, None, None]
-    sums = np.zeros((2 * n, 3))
-    sums[:n, 0] = sums[n:, 1] = 1.0
-    sums[:n, 2] = 2.0 * m[:n] + 1.0
-    out = (m, falling, below, gammaln(m + 1.0), np.tri(n + 2, n + 1, k=-1), sums)
-    for arr in out:
-        arr.flags.writeable = False  # shared by every caller
-    return out
+def _closed_form_knots(family, omega, beta, p, a):
+    """The clip boundaries of :func:`_clip_knots` where the deflated law has
+    the closed form of :func:`_zmp_clip_terms`: ZMP, with an intensity law
+    that puts less than _CLIP_TAIL beyond _MAX_CLIP_LAMBDA.  None where it
+    is averaged by quadrature."""
+    if family == CountFamily.ZMP or a == 0.0:
+        top = _clip_top(beta, p)
+        if top <= _MAX_CLIP_LAMBDA:
+            return _clip_knots(omega, top)
+    return None
 
 
-def _zmp_clip_average_tangents(omega: float, beta: float, p: float, top: float):
-    """The averages (E[D1], E[lam*D1], E[D2]) of :func:`_zmp_clip_averages`
-    and their partial derivatives, rows in (omega, beta, p), from the terms
-    e[j, k] of :func:`_zmp_clip_terms`:
+def _clip_averages(family, omega, beta, p, a, c) -> np.ndarray:
+    """The clipped law's averages (E[D1], E[lam*D1], E[D2]) under the
+    Gamma(p, rate beta) intensity law: closed form where
+    :func:`_closed_form_knots` allows, quadrature otherwise."""
+    lam_k = _closed_form_knots(family, omega, beta, p, a)
+    if lam_k is None:
+        return _quadrature_clip_averages(family, omega, beta, p, a, c)
+    return _term_sums(_zmp_clip_terms(omega, beta, np.array([[p]]), lam_k)[0][0])
 
-    * omega: the integrand min(0, g_k) vanishes at its kink lam_k, so
-      de/domega = E[lam^j; lam > lam_k] - S_jk.
+
+# relative step of the central differences of gamma-law averages in
+# (omega, beta, p, a); the zero-mass tie's slopes and the coefficients'
+# share it, so that their shapes p +- h share Gauss rules
+_DIFF_STEP = 1e-5
+
+
+def _central_differences(f, theta: np.ndarray) -> np.ndarray:
+    """Row i: the central difference of ``f`` in the i-th component of
+    ``theta`` = (omega, beta, p[, a]).  The steps are relative, on a scale
+    of at least 1e-3 for omega, which can be 0; beta, p and a are positive
+    and stay so."""
+    scale = np.abs(theta)
+    scale[0] = max(scale[0], 1e-3)
+    return np.array([(f(theta + h) - f(theta - h)) / (2.0 * h.max())
+                     for h in np.diag(_DIFF_STEP * scale)])
+
+
+def _clip_average_tangents(family, omega, beta, p, a, c):
+    """The averages of :func:`_clip_averages` and their partial derivatives,
+    rows in (omega, beta, p) and, for ZMNB, a.
+
+    In closed form, from one batch of :func:`_zmp_clip_terms` at the shapes
+    p, p+-h and p+-2h, whose centre row gives the averages:
+
+    * omega: the terms' own partials.
     * beta: the gamma density f has df/dbeta = f*(p/beta - lam), so
-      de_j/dbeta = p/beta*e_j - e_{j+1}, with a j = 2 row.
+      de_j/dbeta = p/beta*e_j - e_{j+1}, with the row j = 2.
     * p: Q(p+m, x) has no closed derivative in its shape, so this is a
       five-point central difference in p at the same lam_k (error about
       1e-8 relative, where a three-point one loses 1e-6 to rounding).
 
-    The terms at p, p+-h and p+-2h come from one batch, by the direct sums
-    S_jk = sum_{m<=k+j} m!/(m-j)! NB(m) Q(p+m, x_k), with
-    Q(p+m, z) = Q(p, z) + sum_{i<m} t_i(z) at z = x_k and at z = beta*lam_k.
+    By quadrature, central differences of :func:`_quadrature_clip_averages`;
+    all but the one in p keep the gamma shape, and so its Gauss rule.
     """
-    lam_k = _clip_knots(omega, top)
-    n = len(lam_k)
-    if n == 0:
-        return np.zeros(3), np.zeros((3, 3))
-    m, falling, below, log_fact, partial, weights = _shift_index(n)
-    ps = p * _SHAPE_STEPS
-    z = np.concatenate([(beta + 1.0) * lam_k, beta * lam_k])
-    lgam = gammaln(ps + m)  # log Gamma(p+m)
-    log_z = np.log(z)
-    # q[m, s, i] = Q(p+m, z_i) at the shape ps[s]
-    t = np.exp((ps * log_z - z) + (m[:-1, None, None] * log_z - lgam[:, 1:].T[:, :, None]))
-    q = gammaincc(ps, z) + (partial @ t.reshape(n + 1, -1)).reshape(n + 2, *t.shape[1:])
-    nb = np.exp(lgam - (lgam[:, :1] + log_fact)
-                + (ps * math.log(beta / (beta + 1.0)) - m * math.log(beta + 1.0)))
-    s_jk = ((q[:, :, :n].transpose(1, 2, 0)[:, None] * below)
-            @ (falling * nb[:, None])[..., None])[..., 0]
-    # E[lam^j; lam > lam_k] = E[lam^j]*Q(p+j, beta*lam_k)
-    moments = np.exp(lgam[:, :3] - lgam[:, :1]) / beta ** m[:3]
-    beyond = moments[:, :, None] * q[:3, :, n:].transpose(1, 0, 2)
-    e = omega * beyond + (1.0 - omega) * s_jk
-    terms = np.array([  # the values, then their partials
+    lam_k = _closed_form_knots(family, omega, beta, p, a)
+    if lam_k is None:
+        theta = np.array([omega, beta, p, a][: 4 if family == CountFamily.ZMNB else 3])
+
+        def averages(x):
+            return _quadrature_clip_averages(family, *x[:3], x[3] if len(x) > 3 else a, c)
+
+        return averages(theta), _central_differences(averages, theta)
+    e, e_w = _zmp_clip_terms(omega, beta, p * _SHAPE_STEPS, lam_k)
+    sums = _term_sums(np.array([
         e[0, :2],
-        beyond[0, :2] - s_jk[0, :2],
+        e_w[0, :2],
         p / beta * e[0, :2] - e[0, 1:],
         (8.0 * (e[1, :2] - e[2, :2]) - (e[3, :2] - e[4, :2])) / (12.0 * _SHAPE_STEP * p),
-    ])
-    sums = terms.reshape(4, -1) @ weights
+    ]))
     return sums[0], sums[1:]
+
+
+def _moment_partials(mu, sigma2, d_beta, d_p):
+    """Partial derivatives in the gamma intensity law's (beta, p) carried to
+    its (mu, sigma2), through beta = mu/sigma2 and p = mu^2/sigma2."""
+    beta = mu / sigma2
+    p = mu * beta
+    return d_beta / sigma2 + 2.0 * beta * d_p, -(beta * d_beta + p * d_p) / sigma2
 
 
 def _clipped_coefficients(omega, mu, sigma2, vb, d10, d11, d2):
@@ -615,27 +632,29 @@ def _clipped_coefficients(omega, mu, sigma2, vb, d10, d11, d2):
     return d10 - delta * mu, one_w + delta, noise
 
 
-def clipped_coefficient_jacobian(omega: float, mu: float, sigma2: float) -> np.ndarray | None:
-    """Jacobian of the ZMP observation coefficients at omega < 0: row i holds
-    the derivatives of (a0, a1, noise) in the i-th of (omega, mu, sigma2).
-    Closed form (see :func:`_zmp_clip_average_tangents`); None for the
-    intensity laws that :func:`observation_coefficients` averages by
-    quadrature."""
+def clipped_coefficients(
+    family: CountFamily, omega: float, mu: float, sigma2: float, a: float = 0.0, c: int = 1
+) -> tuple[ObsCoefficients, np.ndarray]:
+    """The observation coefficients at omega < 0, bit for bit those of
+    :func:`observation_coefficients`, and their Jacobian: row i holds the
+    derivatives of (a0, a1, noise) in the i-th of (omega, mu, sigma2) and,
+    for ZMNB, a.  The averages' partials of :func:`_clip_average_tangents`
+    are carried to (mu, sigma2) and through the coefficients by a complex
+    step."""
     beta = mu / sigma2
-    p = mu * beta
-    top = _clip_top(beta, p)
-    if top > _MAX_CLIP_LAMBDA:
-        return None
-    d, dd = _zmp_clip_average_tangents(omega, beta, p, top)
-    # beta = mu/sigma2 and p = mu^2/sigma2
-    dd = np.array([dd[0], dd[1] / sigma2 + 2.0 * beta * dd[2], -(beta * dd[1] + p * dd[2]) / sigma2])
+    d, dd = _clip_average_tangents(family, omega, beta, mu * beta, a, c)
+    dd[1], dd[2] = _moment_partials(mu, sigma2, dd[1], dd[2])
+    vb = vbar_from(family, omega, mu, sigma2, a, c)
+    coeffs = ObsCoefficients(*map(float, _clipped_coefficients(omega, mu, sigma2, vb, *d)))
     step = 1e-20
     rows = []
-    for move, d_row in zip(np.eye(3).tolist(), (d + 1j * step * dd).tolist()):
-        w_c, mu_c, s_c = (x + 1j * step * dx for x, dx in zip((omega, mu, sigma2), move))
-        vb = vbar_from(CountFamily.ZMP, w_c, mu_c, s_c)
-        rows.append(_clipped_coefficients(w_c, mu_c, s_c, vb, *d_row))
-    return np.array(rows).imag / step
+    for i, d_row in enumerate((d + 1j * step * dd).tolist()):
+        w_c, mu_c, s_c, a_c = (
+            x + 1j * step * (i == j) for j, x in enumerate((omega, mu, sigma2, a))
+        )
+        vb_c = vbar_from(family, w_c, mu_c, s_c, a_c, c)
+        rows.append(_clipped_coefficients(w_c, mu_c, s_c, vb_c, *d_row))
+    return coeffs, np.array(rows).imag / step
 
 
 @functools.lru_cache(maxsize=32)
@@ -655,17 +674,18 @@ def _gamma_rule(p: float, n: int = 64):
 _LEGENDRE = tuple(0.5 * x for x in roots_legendre(64))
 
 
-def _quadrature_clip_averages(family, omega, beta, p, a, c, top):
-    """The averages of :func:`_zmp_clip_averages` for any family and any
-    intensity law, by a Gauss rule for the gamma law on its nodes up to
-    ``top``; D has a kink at every lam_k, which limits the accuracy to about
-    1e-3 (absolute in a0, relative in a1 and the noise)."""
+def _quadrature_clip_averages(family, omega, beta, p, a, c) -> np.ndarray:
+    """The averages (E[D1], E[lam*D1], E[D2]) of :func:`_clip_averages` for
+    any family and any intensity law, by a Gauss rule for the gamma law on
+    its nodes up to the upper _CLIP_TAIL quantile; D has a kink at every
+    lam_k, which limits the accuracy to about 1e-3 (absolute in a0,
+    relative in a1 and the noise)."""
     nodes, weights = _gamma_rule(p)
-    keep = nodes <= beta * top
+    keep = nodes <= gammainccinv(p, _CLIP_TAIL)
     lam = nodes[keep] / beta
     w = weights[keep]
     d1, d2 = _clip_sums(family, lam, omega, a, c)
-    return np.array([w @ d1, (w * lam) @ d1]), np.array([w @ d2])
+    return np.array([w @ d1, (w * lam) @ d1, w @ d2])
 
 
 def _base_cdf(family, k, lam, a, c):
@@ -713,16 +733,30 @@ def _clip_top(beta: float, p: float) -> float:
     return float(gammainccinv(p, _CLIP_TAIL)) / beta
 
 
-def _clip_averages(family, omega, mu, sigma2, a, c):
-    """Clipped-law averages under the gamma law with mean mu and variance
-    sigma2: closed form for ZMP while the law puts less than _CLIP_TAIL beyond
-    _MAX_CLIP_LAMBDA, quadrature otherwise."""
-    beta = mu / sigma2
-    p = mu * beta
-    top = _clip_top(beta, p)
-    if (family == CountFamily.ZMP or a == 0.0) and top <= _MAX_CLIP_LAMBDA:
-        return _zmp_clip_averages(omega, beta, p, top)
-    return _quadrature_clip_averages(family, omega, beta, p, a, c, top)
+def _marginal_probs(family, omega, beta, p, a, c, kmax: int) -> np.ndarray:
+    """Marginal P(Y=k), k = 0..kmax, of the law the sampler draws under the
+    Gamma(p, rate beta) intensity law; see
+    :func:`zmcounts.diagnostics.fitted_marginal_probs`."""
+    lam_k = _closed_form_knots(family, omega, beta, p, a) if omega < 0.0 else None
+    if family != CountFamily.ZMP or (omega < 0.0 and lam_k is None):
+        cdf = _quadrature_marginal_cdf(family, omega, beta, p, a, c, np.arange(kmax + 1.0))
+        # rounding and the rules' error can leave far-tail increments below zero
+        return np.maximum(np.diff(cdf, prepend=0.0), 0.0)
+    k = np.arange(kmax + 1.0)
+    log_base = (
+        p * np.log(beta)
+        + gammaln(p + k)
+        - gammaln(k + 1.0)
+        - gammaln(p)
+        - (p + k) * np.log(beta + 1.0)
+    )
+    probs = (1.0 - omega) * np.exp(log_base)
+    probs[0] += omega
+    if omega < 0.0:
+        e0 = _zmp_clip_terms(omega, beta, np.array([[p]]), lam_k)[0][0, 0, : kmax + 1]
+        clip = np.pad(e0, (0, kmax + 1 - len(e0)))
+        probs = np.maximum(probs - np.diff(clip, prepend=0.0), 0.0)
+    return probs
 
 
 def observation_coefficients(
@@ -743,9 +777,9 @@ def observation_coefficients(
     vb = vbar_from(family, omega, mu, sigma2, a, c)
     if omega >= 0.0:
         return ObsCoefficients(0.0, one_w, one_w * vb)
-    d1, d2 = _clip_averages(family, omega, mu, sigma2, a, c)
-    a0, a1, noise = _clipped_coefficients(omega, mu, sigma2, vb, d1[0], d1[1], d2[0])
-    return ObsCoefficients(float(a0), float(a1), float(noise))
+    beta = mu / sigma2
+    d = _clip_averages(family, omega, beta, mu * beta, a, c)
+    return ObsCoefficients(*map(float, _clipped_coefficients(omega, mu, sigma2, vb, *d)))
 
 
 def spec_coefficients(spec: ModelSpec) -> ObsCoefficients:

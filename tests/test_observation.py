@@ -1,5 +1,6 @@
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,14 @@ from zmcounts.observation import (
     CountFamily,
     ModelSpec,
     Params,
+    _clip_knots,
     _clip_top,
     _gamma_rule,
     _poisson_quantile,
+    _term_sums,
     _zmp_clip_terms,
     baseline_zero_prob,
-    clipped_coefficient_jacobian,
+    clipped_coefficients,
     conditional_moments,
     count_acf,
     feasible_omega_interval,
@@ -719,7 +722,7 @@ class TestClippedCoefficientJacobian:
     def test_matches_central_differences(self, omega, beta, p):
         mu, s2 = p / beta, p / beta**2
         assert _clip_top(beta, p) <= 256.0
-        jac = clipped_coefficient_jacobian(omega, mu, s2)
+        jac = clipped_coefficients(ZMP, omega, mu, s2)[1]
         fd = central_differences(lambda x: observation_coefficients(ZMP, *x), [omega, mu, s2])
         # relative 1e-6, each column (a0, a1, noise) against its own scale,
         # because a near-zero entry has no meaningful relative error
@@ -743,25 +746,88 @@ class TestClippedCoefficientJacobian:
                     [0.0, 0.0, (1.0 - w) * (1.0 + 2.0 * w * mu)],
                     [0.0, 0.0, (1.0 - w) * w]]
         np.testing.assert_allclose(
-            clipped_coefficient_jacobian(w, mu, s2), expected, rtol=1e-12, atol=1e-15
+            clipped_coefficients(ZMP, w, mu, s2)[1], expected, rtol=1e-12, atol=1e-15
         )
 
-    def test_wide_laws_left_to_quadrature(self):
-        assert clipped_coefficient_jacobian(-0.001, 200.0, 100.0) is None
+    @settings(deadline=None, max_examples=60)
+    @given(**BOX)
+    def test_coefficients_are_those_of_the_filter(self, omega, beta, p):
+        # the fit's last evaluation and gkf_filter at its estimates must use
+        # the same coefficients: the values of the five-shape batch equal the
+        # one-shape ones bit for bit
+        mu, s2 = p / beta, p / beta**2
+        assert clipped_coefficients(ZMP, omega, mu, s2)[0] == observation_coefficients(
+            ZMP, omega, mu, s2
+        )
 
-    # sha256 of the bytes of _zmp_clip_terms at (omega, beta, p), recorded
-    # before its knots moved into their own cached helper: the ProbTable and
-    # the coefficients read these rows, so a refactor must keep every bit
+    @pytest.mark.parametrize("family,point", [
+        (ZMP, (-0.001, 200.0, 100.0)),  # beyond lambda = 256: quadrature
+        (ZMNB, (-0.1, 2.0, 2.0, 0.5)),
+        (ZMNB, (-0.3, 4.0, 3.0, 0.2)),
+    ])
+    def test_wide_laws_match_central_differences(self, family, point):
+        a = point[3] if family == ZMNB else 0.0
+        obs, jac = clipped_coefficients(family, *point[:3], a)
+        assert obs == observation_coefficients(family, *point[:3], a)
+        fd = central_differences(
+            lambda x: observation_coefficients(family, *x[:3], *x[3:]), point
+        )
+        assert jac.shape == fd.shape
+        assert np.all(np.abs(jac - fd) <= 1e-6 * (np.abs(fd) + np.abs(fd).max(axis=0)))
+
+    # sha256 of the bytes of the rows j = 0, 1 of the terms at (omega, beta,
+    # p), recorded when the direct sums became the only closed form (the
+    # mpmath test below guards their accuracy): the ProbTable and the
+    # coefficients read these rows, so a refactor must keep every bit
     PINNED_TERMS = [
-        ((-0.2, 2.0, 4.0), 15, "fc86532b865ff0ce394216911b843ade3c0ed5fc3c0f2c9cf8443803f00b9061"),
-        ((-0.05, 0.5, 4.0), 64, "1bac88f7e398e74e23670a72704b1f58d92114a5d13d234e4126e3a40aba6098"),
-        ((-0.7, 1.3, 0.8), 21, "7a556ca8c610fc6a91a6952d28b1c80887d1e66eae6ef0293d1eff51f24fe1dc"),
-        ((-0.5, 0.35, 7.5), 131, "7982493d77c51ffa53a2f60a574d3bb8115ef4890e1d7a04fe539195d5972bf8"),
+        ((-0.2, 2.0, 4.0), 15, "79305bbc223d92338d06bae934a9482125f83ad61217195686d97eed0f846819"),
+        ((-0.05, 0.5, 4.0), 64, "86fddb9a6bfd079df0addf9057cdfdfc9eb7ff777dcdcd1515ac9126b0d514d1"),
+        ((-0.7, 1.3, 0.8), 21, "e919d839ffd3108dab47612767fcd99e223a464f532e0813cd01b95691d3085b"),
+        ((-0.5, 0.35, 7.5), 131, "cc48fc14f8db7bf9261f2a3020321f877304672583d9e0c3f41d7ef526534529"),
     ]
+
+    @staticmethod
+    def terms(omega, beta, p):
+        lam_k = _clip_knots(omega, _clip_top(beta, p))
+        return lam_k, _zmp_clip_terms(omega, beta, np.array([[p]]), lam_k)[0][0, :2]
 
     @pytest.mark.parametrize("point,n,digest", PINNED_TERMS)
     def test_clip_terms_pinned(self, point, n, digest):
-        omega, beta, p = point
-        e = _zmp_clip_terms(omega, beta, p, _clip_top(beta, p))
+        _, e = self.terms(*point)
         assert e.shape == (2, n)
         assert hashlib.sha256(e.tobytes()).hexdigest() == digest
+
+    @staticmethod
+    def reference_term(omega, beta, p, lam_k, j, k):
+        """E[lam^j min(0, g_k)] by mpmath.quad over (lam_k, inf)."""
+        w, b, shape = (mpmath.mpf(x) for x in (omega, beta, p))
+        scale = b**shape / mpmath.gamma(shape)
+
+        def integrand(lam):
+            g = w + (1 - w) * mpmath.gammainc(k + 1, lam, mpmath.inf, regularized=True)
+            return g * lam ** (j + shape - 1) * mpmath.exp(-b * lam) * scale
+
+        return float(mpmath.quad(integrand, [mpmath.mpf(float(lam_k[k])), mpmath.inf]))
+
+    @pytest.mark.parametrize("point,ks", [
+        ((-0.5, 0.35, 7.5), (0, 65, 130)),  # summation by parts lost 1.9e-3 at k 130
+        ((-0.05, 0.5, 4.0), (0, 63)),
+        ((-0.2, 2.0, 4.0), (14,)),
+        ((-0.7, 1.3, 0.8), (20,)),
+    ])
+    def test_terms_against_mpmath(self, point, ks):
+        lam_k, e = self.terms(*point)
+        with mpmath.workdps(20):
+            for k in ks:
+                for j in (0, 1):
+                    ref = self.reference_term(*point, lam_k, j, k)
+                    assert e[j, k] == pytest.approx(ref, rel=1e-10), (j, k)
+
+    @pytest.mark.parametrize("point", [(-0.2, 2.0, 4.0), (-0.7, 1.3, 0.8)])
+    def test_sums_against_mpmath(self, point):
+        lam_k, e = self.terms(*point)
+        with mpmath.workdps(20):
+            ref = np.array([[self.reference_term(*point, lam_k, j, k) for k in range(len(lam_k))]
+                            for j in (0, 1)])
+        # E[D1], E[lam*D1] and E[D2]
+        np.testing.assert_allclose(_term_sums(e), _term_sums(ref), rtol=1e-12)

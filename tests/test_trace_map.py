@@ -1,8 +1,10 @@
-"""Every name the benchmark's tracer wraps must exist in the library.
+"""Every name the benchmark's tracer wraps must exist in the library, and
+the fit must still reach the spans the ``mc_zmp`` workload requires.
 
 ``perfbench/tracing.py`` replaces library attributes with timing wrappers by
 name, so deleting or renaming one breaks every traced benchmark run.  This
-resolves the whole map the way the tracer does, without running a workload.
+resolves the whole map the way the tracer does, and runs one short replicate
+of each ``mc_zmp`` row under the tracer.
 """
 
 import importlib.util
@@ -12,14 +14,18 @@ from pathlib import Path
 import zmcounts
 import zmcounts.cli  # noqa: F401  (the map reaches zmcounts.cli and zmcounts.io)
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("tracing")
 
 
 def test_every_traced_name_resolves():
@@ -36,3 +42,15 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{getattr(owner, '__name__', type(owner).__name__)}.{attr}")
     assert not missing, f"traced names missing from the library: {missing}"
+
+
+def test_mc_zmp_reaches_every_required_span():
+    # a refactor that stops calling brentq, marginal_zero_prob or
+    # pearson_residuals through their module attributes fails here, not
+    # only in the benchmark's own self-test
+    tracing, workloads = load_tracing(), load("workloads")
+    rows = workloads.paper_rows(zmcounts, n=200)
+    with tracing.Tracer().active(tracing.targets(zmcounts)) as tracer:
+        for i, row in enumerate((rows["crit1"], rows["crit2"])):
+            zmcounts.experiments.run_replicate(row, workloads.op_seed(1, i))
+    tracer.require(workloads.MC_REQUIRED, "mc_zmp")
