@@ -168,11 +168,14 @@ def cmd_diagnose(args) -> int:
     y = io.read_counts_csv(args.data, column=args.column)
     fit_doc = io.read_fit_json(args.fit)
     est = fit_doc["estimates"]
-    spec = ModelSpec.create(
-        fit_doc["family"], fit_doc["intensity_family"],
-        omega=est["omega"], rho=est["rho"], beta=est["beta"], p=est["p"],
-        a=est.get("a", 0.0), c=int(est.get("c", 1)),
-    )
+    try:
+        spec = ModelSpec.create(
+            fit_doc["family"], fit_doc["intensity_family"],
+            omega=est["omega"], rho=est["rho"], beta=est["beta"], p=est["p"],
+            a=est.get("a", 0.0), c=int(est.get("c", 1)),
+        )
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"bad model in fit file {args.fit}: {err}") from err
     max_lag = int(cfg.get("max_lag", 20))
     out = _outdir(args)
     filt = gkf_filter(y, spec)

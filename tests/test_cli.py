@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,6 +26,10 @@ def write_config(path, **overrides):
     cfg.update(overrides)
     Path(path).write_text(json.dumps(cfg))
     return cfg
+
+
+FIT_DOC = {"family": "zmp", "intensity_family": "gar1",
+           "estimates": {"omega": 0.2, "rho": 0.8, "beta": 0.5, "p": 4.0}}
 
 
 class TestSimulate:
@@ -239,6 +244,35 @@ class TestDiagnoseCommand:
         write_config(reseeded, model=model, seed=12)
         assert diagnose(reseeded, "c")[0] == first[0]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            json.dumps({"family": "zmp", "intensity_family": "gar1"}),
+            json.dumps({"family": "zmp", "intensity_family": "gar1", "estimates": 3}),
+            json.dumps([1, 2]),
+            *[json.dumps({k: v for k, v in FIT_DOC.items() if k != key})
+              for key in ("family", "intensity_family")],
+            *[json.dumps({**FIT_DOC, "estimates": {k: v for k, v in FIT_DOC["estimates"].items()
+                                                   if k != key}})
+              for key in ("omega", "rho", "beta", "p")],
+            json.dumps({**FIT_DOC, "family": "poisson"}),
+            json.dumps({**FIT_DOC, "estimates": {**FIT_DOC["estimates"], "omega": "x"}}),
+            json.dumps({**FIT_DOC, "estimates": {**FIT_DOC["estimates"], "c": "one"}}),
+        ],
+    )
+    def test_malformed_fit_file_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        data = tmp_path / "counts.csv"
+        write_counts_csv(data, [0, 1, 2, 0, 3])
+        fit_file = tmp_path / "fit.json"
+        fit_file.write_text(text)
+        rc = main(["diagnose", "--config", str(cfg), "--data", str(data),
+                   "--fit", str(fit_file), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "fit file" in capsys.readouterr().err
+
     def test_missing_fit_errors(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
@@ -247,6 +281,63 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", "--config", str(cfg), "--data", str(out / "counts.csv"),
                    "--fit", str(out / "nofit.json"), "--out", str(out)])
         assert rc == EXIT_CONFIG
+
+
+# sha256 of the outputs of one seeded simulate -> filter -> diagnose session
+# per model at n = 2000, with the generating parameters as the fit.  They were
+# recorded before the CSV writers and the counts reader were rewritten for
+# speed, and pin that every output byte stayed the same.
+GOLDEN_MODELS = {
+    "zmp-gar1": {"family": "zmp", "intensity": "gar1", "omega": 0.2, "rho": 0.8,
+                 "beta": 0.5, "p": 4.0},
+    "zmp-ear1": {"family": "zmp", "intensity": "ear1", "omega": 0.2, "rho": 0.8,
+                 "beta": 0.5, "p": 1.0},
+    "zmnb-gar1": {"family": "zmnb", "intensity": "gar1", "omega": 0.3, "rho": 0.8,
+                  "beta": 0.5, "p": 1.0, "a": 0.5, "c": 1},
+}
+GOLDEN_SHA256 = {
+    "zmp-gar1": {
+        "counts.csv": "20122a712a8acfff0a7bca61a561093b577840c8bd0651e4d0ef92293be4a831",
+        "filtered.csv": "2cd96a82515a118159e72b04abd624e689f340428c5453e386c54755b25f0dc5",
+        "residuals.csv": "c38a3f76be52c1cac6a8e7a4323105e3c126179d2c96bf33779f663d927212bd",
+        "acf_pacf.csv": "277166d3d82203d3475c301bdea0e5a318c30d7c518e309d4183a9d6500d2aa5",
+        "probtable.csv": "65905ec1fac2175b33528e35d0fea2ae2f8c51d2723a085454d79a8d5518d8dd",
+    },
+    "zmp-ear1": {
+        "counts.csv": "ac90fece1fe86c4bbd58a1a49c273ff5b25386818451b252850c246ac4fddcb3",
+        "filtered.csv": "5418698b2f487c6f921dfe4fda697fde504162a6f103ea6adeaecb9db4ff4fb8",
+        "residuals.csv": "1040370659a95d8c98c775e2553b4a3c2201166bbbb5f53d30d7337b08751785",
+        "acf_pacf.csv": "088651ad53a5dab8eaf7702b693ccd9cba9279d0a78c22365c9547e9488e80f9",
+        "probtable.csv": "5228d95089068b31d2e74f631f50514e5602d31d9a8af55b4beed2833b4ad281",
+    },
+    "zmnb-gar1": {
+        "counts.csv": "d296e322a5a4a6df490131fe6b94de0fe54f25f3a29f4edf513c739872725153",
+        "filtered.csv": "7f20d39effebc391e0dbb0c6d5c2e3fb88e475522f1f3ac243f107a746cf2918",
+        "residuals.csv": "acfebc4535fe02cba5debb821b0944c14c7ec296a5e21ceaad11ee60c0235d33",
+        "acf_pacf.csv": "a651b6a54e9a5a676e8017748f43d0a3a14fd9cce3aea3268d17d53b7d8d93d7",
+        "probtable.csv": "6d9ba3c88dd44f6952bc6cc059b078c5bd455dc223f6ba2a766de69b9a7a469a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_session_outputs_are_golden(tmp_path, name):
+    model = GOLDEN_MODELS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "n": 2000, "seed": 7, "max_lag": 20}))
+    estimates = {k: v for k, v in model.items() if k not in ("family", "intensity")}
+    fit_file = tmp_path / "fit.json"
+    fit_file.write_text(json.dumps({"family": model["family"],
+                                    "intensity_family": model["intensity"],
+                                    "estimates": estimates}))
+    common = ["--config", str(cfg), "--out", str(tmp_path)]
+    data = ["--data", str(tmp_path / "counts.csv")]
+    codes = (main(["simulate", *common]), main(["filter", *common, *data]),
+             main(["diagnose", *common, *data, "--fit", str(fit_file)]))
+    assert codes == (EXIT_OK, EXIT_OK, EXIT_OK)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in GOLDEN_SHA256[name]}
+    assert digests == GOLDEN_SHA256[name]
 
 
 class TestReproduceCommand:

@@ -1,15 +1,19 @@
 import csv
 import io
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from zmcounts.diagnostics import ProbTable
 from zmcounts.errors import InvalidSpecError
 from zmcounts.experiments import ExperimentRow
 from zmcounts.filtering import FilterResult
 from zmcounts.io import (
+    _write_csv,
     read_counts_csv,
     write_acf_pacf_csv,
     write_counts_csv,
@@ -112,6 +116,140 @@ class TestWritersMatchCsvWriter:
         line = (["zmnb", "gar1", 1000, 200] + [row.true_values()[k] for k in keys]
                 + [mean[k] for k in keys] + [mse[k] for k in keys] + [199, 1])
         assert path.read_bytes() == csv_writer_bytes(header, [line, line])
+
+
+# values whose runs the writer must keep apart or print alike: signed zeros,
+# NaNs of either sign, infinities and 17-digit values
+RUN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 5e-324]),
+    st.floats(),
+)
+FLOAT_RUNS = st.lists(st.tuples(RUN_VALUES, st.integers(1, 6)), min_size=1, max_size=12)
+
+
+class TestWriterRuns:
+    """Columns built from runs of equal values, which the writer formats
+    once per run, against the csv.writer reference."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(runs=FLOAT_RUNS)
+    @example(runs=[(-0.0, 3), (0.0, 3), (-0.0, 1), (0.0, 2)])
+    @example(runs=[(0.25, 40)])
+    @example(runs=[(1.0, 1), (2.0, 1), (1.0, 1), (2.0, 5)])
+    @example(runs=[(np.nan, 2), (-np.nan, 2), (np.inf, 3), (-np.inf, 3)])
+    def test_bytes_match_csv_writer(self, tmp_path, runs):
+        col = np.array([value for value, length in runs for _ in range(length)])
+        n = len(col)
+        ints = np.arange(n, dtype=np.int64) % 5 * 2**40
+        header = ["t", "y", "a", "b"]
+        path = tmp_path / "runs.csv"
+        _write_csv(path, header, "%d,%d,%.17g,%.17g", range(n), ints, col, col[::-1])
+        expected = csv_writer_bytes(header, zip(range(n), ints, col, col[::-1]))
+        assert path.read_bytes() == expected
+
+
+def oracle_read_counts_csv(path, column=None) -> np.ndarray:
+    """The reader as it was before its one-pass parse: it keeps the non-blank
+    lines and parses them as a list."""
+    blank = ' \t",'
+    path = Path(path)
+    lines = [line for line in path.read_text().splitlines() if line.strip(blank)]
+    if not lines:
+        raise InvalidSpecError(f"no data in {path}")
+    header = None
+    first = next(csv.reader(lines[:1]))
+    try:
+        [float(cell) for cell in first]
+    except ValueError:
+        header = [cell.strip() for cell in first]
+        lines = lines[1:]
+    if not lines:
+        raise InvalidSpecError(f"no data rows in {path}")
+    if column is None:
+        if header and "y" in header:
+            idx = header.index("y")
+        else:
+            idx = len(next(csv.reader(lines[:1]))) - 1
+    elif isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
+        idx = int(column)
+    else:
+        if header is None or column not in header:
+            raise InvalidSpecError(f"column {column!r} not found in {path}")
+        idx = header.index(column)
+    try:
+        arr = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, usecols=idx, ndmin=1)
+    except ValueError as err:
+        raise InvalidSpecError(f"cannot parse counts from {path}: {err}") from err
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0) or np.any(arr != np.round(arr)):
+        raise InvalidSpecError(f"column {idx} of {path} is not a non-negative integer series")
+    return arr.astype(np.int64)
+
+
+BLANK_LINES = ["", " ", "\t", " \t ", ",", ",,", '""', '"",""', ' , ']
+NAMES = ["t", "y", "count", "x"]
+
+
+@st.composite
+def count_csvs(draw):
+    """A counts CSV text with blank lines put in at random places, and a
+    ``column`` argument of any form."""
+    width = draw(st.integers(1, 4))
+    quote = draw(st.sampled_from(["never", "sometimes"]))
+
+    def cell(text):
+        if quote == "sometimes" and draw(st.booleans()):
+            return f'"{text}"'
+        return draw(st.sampled_from([text, text, f" {text}", f"{text} "]))
+
+    cells = st.one_of(st.integers(0, 10**6).map(str),
+                      st.sampled_from(["1.5", "x", "", "-1", "2.0", "1e1", "inf"]))
+    lines = []
+    header = draw(st.booleans())
+    if header:
+        names = draw(st.lists(st.sampled_from(NAMES), min_size=width, max_size=width))
+        lines.append(",".join(cell(name) for name in names))
+    for _ in range(draw(st.integers(0, 6))):
+        row_width = draw(st.sampled_from([width] * 4 + [max(width - 1, 1), width + 1]))
+        row = [draw(st.integers(0, 50).map(str)) if draw(st.integers(0, 9)) else draw(cells)
+               for _ in range(row_width)]
+        lines.append(",".join(cell(c) for c in row))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    column = draw(st.one_of(
+        st.none(), st.integers(-5, 5), st.integers(-5, 5).map(str), st.sampled_from(NAMES),
+    ))
+    return text, column
+
+
+def outcome(read, path, column):
+    try:
+        return read(path, column=column)
+    except Exception as err:  # the type is compared
+        return type(err)
+
+
+class TestReaderMatchesOracle:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=count_csvs())
+    @example(case=("t,y\n0,1\n,\n2,3\n", None))
+    @example(case=("\n \n\"\"\nt,y\r\n0,1\r\n\r\n2,3", "y"))
+    @example(case=('t,y\n0,"1\n"\n5,6\n', None))  # a quoted cell across a blank line
+    @example(case=("t,y\n0,1\n2,3\x0c4,5\n", 0))  # a line break only splitlines sees
+    def test_same_counts_or_same_error(self, tmp_path, case):
+        text, column = case
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        got = outcome(read_counts_csv, path, column)
+        want = outcome(oracle_read_counts_csv, path, column)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got is want
 
 
 def write_text(tmp_path, text, name="data.csv"):
