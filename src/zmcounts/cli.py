@@ -138,12 +138,12 @@ def cmd_fit(args) -> int:
         c=int(model.get("c", 1)), **options,
     )
     out = _outdir(args)
-    se = None
+    se = seed = None  # the seed is recorded only when a bootstrap draws from it
     boot = cfg.get("bootstrap", {})
     reps = int(boot.get("reps", 0))
     if reps:
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        rng = np.random.default_rng(int(seed))
+        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        rng = np.random.default_rng(seed)
         se = bootstrap_se(
             result.spec, n=len(y), reps=reps, rng=rng, jobs=args.jobs, **options
         ).se
@@ -151,7 +151,7 @@ def cmd_fit(args) -> int:
     filt = gkf_filter(y, result.spec)
     io.write_filtered_csv(out / "filtered.csv", y, filt)
     io.write_residuals_csv(out / "residuals.csv", result.residuals)
-    io.write_metadata(out / "metadata.json", "fit", cfg, args.seed)
+    io.write_metadata(out / "metadata.json", "fit", cfg, seed)
     ph = result.params_hat
     print(
         f"fit: omega={ph.omega:.6g} rho={ph.rho:.6g} beta={ph.beta:.6g} "

@@ -12,6 +12,7 @@ counted rather than patched.
 from __future__ import annotations
 
 import ctypes
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -137,15 +138,25 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_replicates(row: ExperimentRow, seeds, jobs: int) -> list[dict | str]:
-    """:func:`run_replicate` at each seed, in seed order, on ``jobs`` processes."""
+    """:func:`run_replicate` at each seed, in seed order, on up to ``jobs``
+    processes.  The pool starts all its workers at once, so it gets no more
+    of them than there are replicates or CPUs."""
     tasks = [(row, seed) for seed in seeds]
-    if jobs > 1:
+    workers = min(jobs, len(tasks), _cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # up to 4 replicates per chunk, but a chunk for every worker
-        chunk = max(1, min(4, len(tasks) // jobs))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as ex:
+        chunk = max(1, min(4, len(tasks) // workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as ex:
             return list(ex.map(_replicate_task, tasks, chunksize=chunk))
     return [_replicate_task(t) for t in tasks]
 

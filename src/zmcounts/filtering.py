@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import EstimationError, InvalidSpecError
+from .intensity import ar1_filter
 from .observation import (
     ModelSpec,
     ObsCoefficients,
@@ -234,7 +234,7 @@ def forward_pass(
     lam_f[:head] = path
     if head < n:
         alpha = shrink[-1] * rho
-        lam_f[head:] = lfilter([1.0], [1.0, -alpha], const[head:], zi=[alpha * prev])[0]
+        lam_f[head:] = ar1_filter(alpha, const[head:], zi=alpha * prev)
     del const  # freed before pred is made, to bound a long series' peak memory
     clamped = lam_f <= 0
     if clamped.any():
@@ -327,7 +327,7 @@ def forward_adjoint(
     else:  # the pole is constant from s-1 on
         pole = rho * shrink[:s]
         r = np.empty(n)
-        r[s - 1 :] = lfilter([1.0], [1.0, -pole[-1]], w[s - 1 :][::-1])[::-1]
+        r[s - 1 :] = ar1_filter(pole[-1], w[s - 1 :][::-1])[::-1]
         r[: s - 1] = _backward(pole[1:], w[: s - 1], r[s - 1])
     rs = r * shrink
     # variance recursion: weights of cp, J and K (K carries the path's dK

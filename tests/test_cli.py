@@ -2,10 +2,12 @@ import csv
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from zmcounts import cli
 from zmcounts.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from zmcounts.io import read_counts_csv, write_counts_csv
 
@@ -179,6 +181,36 @@ class TestFitCommand:
         assert "4/4 bootstrap refits failed" in capsys.readouterr().err
         assert not (out / "fit.json").exists()
 
+    @pytest.mark.parametrize("cli_seed, used", [(None, 5), (9, 9)])
+    def test_metadata_records_the_bootstrap_seed(self, tmp_path, monkeypatch, cli_seed, used):
+        # the seed recorded is the one the bootstrap drew from: the config's
+        # seed unless --seed overrides it
+        states = []
+
+        def bootstrap(spec, n, reps, rng, jobs, **options):
+            states.append(rng.bit_generator.state)
+            return SimpleNamespace(se={})
+
+        monkeypatch.setattr(cli, "bootstrap_se", bootstrap)
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, seed=5, bootstrap={"reps": 2})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        seed = [] if cli_seed is None else ["--seed", str(cli_seed)]
+        main(["fit", "--config", str(cfg), "--data", str(out / "counts.csv"),
+              "--out", str(out), *seed])
+        assert states == [np.random.default_rng(used).bit_generator.state]
+        assert json.loads((out / "metadata.json").read_text())["seed"] == used
+
+    def test_metadata_seed_is_null_without_bootstrap(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, seed=5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        main(["fit", "--config", str(cfg), "--data", str(out / "counts.csv"),
+              "--out", str(out), "--seed", "9"])
+        assert json.loads((out / "metadata.json").read_text())["seed"] is None
+
 
 class TestDiagnoseCommand:
     def test_bundle(self, tmp_path):
@@ -320,6 +352,7 @@ GOLDEN_SHA256 = {
 }
 
 
+@pytest.mark.usefixtures("writer_mode")
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
 def test_session_outputs_are_golden(tmp_path, name):
     model = GOLDEN_MODELS[name]

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from zmcounts import experiments
+from zmcounts.experiments import ExperimentRow, run_experiment
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # run as a script, so that pool workers can import its functions under any
@@ -67,3 +70,52 @@ def test_pool_workers_run_one_blas_thread(tmp_path):
     assert report["after"] == report["before"]
     assert set(report["worker"]) == set(report["before"])
     assert all(count == 1 for count in report["worker"].values())
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for ProcessPoolExecutor that starts no process: it records
+    each pool's worker count and maps in this process, in order."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize("replicates, cpus, workers", [
+    (2, 8, [2]),   # no more workers than replicates
+    (5, 3, [3]),   # no more workers than CPUs
+    (5, 1, []),    # one CPU: no pool at all
+])
+def test_pool_size_is_capped(monkeypatch, recording_pool, replicates, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    row = ExperimentRow("zmp", "gar1", omega=0.2, rho=0.8, beta=0.5, p=4.0,
+                        n=200, replicates=replicates)
+    many = run_experiment(row, 3, jobs=500)
+    assert recording_pool == workers
+    one = run_experiment(row, 3, jobs=1)
+    assert repr((many.estimates, many.discard_reasons)) == repr((one.estimates,
+                                                                 one.discard_reasons))
+
+
+def test_cpus_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiments._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._cpus() == 1

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from zmcounts.errors import InvalidSpecError
 from zmcounts.intensity import (
     IntensityFamily,
     IntensitySpec,
+    ar1_filter,
     ear1_innovation_sample,
     gar1_innovation_sample,
     intensity_acf,
@@ -150,3 +154,30 @@ class TestSimulatePath:
         a = simulate_intensity(gar1(0.8, 2.0, 4.0), 1000, np.random.default_rng(42))
         b = simulate_intensity(gar1(0.8, 2.0, 4.0), 1000, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+
+
+class TestAr1Filter:
+    """``ar1_filter`` calls a private SciPy name, so its output is pinned to
+    that of ``lfilter`` bit for bit, over the pole, the length and the start
+    value, on contiguous input and on the reversed views the adjoint uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pole=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.8, 1.5])),
+        n=st.integers(1, 2000),
+        zi=st.one_of(st.none(), st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0])),
+        seed=st.integers(0, 2**32 - 1),
+        reverse=st.booleans(),
+    )
+    def test_matches_lfilter_bit_for_bit(self, pole, n, zi, seed, reverse):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        x[rng.integers(n)] = -0.0
+        x = x[::-1] if reverse else x
+        if zi is None:
+            expected = lfilter([1.0], [1.0, -pole], x)
+        else:
+            expected = lfilter([1.0], [1.0, -pole], x, zi=[zi])[0]
+        got = ar1_filter(pole, x, zi=zi)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import signal
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from zmcounts import io as zio
 from zmcounts.diagnostics import ProbTable
 from zmcounts.errors import InvalidSpecError
 from zmcounts.experiments import ExperimentRow
@@ -51,6 +55,7 @@ def csv_writer_bytes(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
+@pytest.mark.usefixtures("writer_mode")
 class TestWritersMatchCsvWriter:
     def test_counts(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -127,6 +132,7 @@ RUN_VALUES = st.one_of(
 FLOAT_RUNS = st.lists(st.tuples(RUN_VALUES, st.integers(1, 6)), min_size=1, max_size=12)
 
 
+@pytest.mark.usefixtures("writer_mode")
 class TestWriterRuns:
     """Columns built from runs of equal values, which the writer formats
     once per run, against the csv.writer reference."""
@@ -147,6 +153,109 @@ class TestWriterRuns:
         _write_csv(path, header, "%d,%d,%.17g,%.17g", range(n), ints, col, col[::-1])
         expected = csv_writer_bytes(header, zip(range(n), ints, col, col[::-1]))
         assert path.read_bytes() == expected
+
+
+def split_table(n):
+    """A table whose back half outgrows a pipe's buffer at n = 20000."""
+    rng = np.random.default_rng(n)
+    return (["t", "y", "lambda"], "%d,%d,%.17g",
+            range(n), rng.integers(0, 2**40, n), rng.standard_normal(n))
+
+
+def reference_bytes(table):
+    header, _, *columns = table
+    return csv_writer_bytes(header, zip(*columns))
+
+
+def no_child_exists():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSplitWriter:
+    """The back half of a long table is formatted in a forked child; every
+    way that can go wrong gives the serial bytes or the parent's error, and
+    leaves no child behind."""
+
+    def test_split_starts_at_split_rows(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(zio, "_SPLIT_ROWS", 2**15)
+        for n, forks in ((2**15 - 1, 0), (2**15, 1)):
+            header, fmt, *columns = split_table(n)
+            zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+            assert len(forced_split) == forks
+            assert (tmp_path / "t.csv").read_bytes() == reference_bytes(split_table(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20000])
+    @pytest.mark.parametrize("failure", ["raise", "kill"])
+    def test_failed_child_falls_back_to_the_same_bytes(self, tmp_path, monkeypatch,
+                                                       forced_split, n, failure):
+        expected = reference_bytes(split_table(n))
+        parent, format_rows = os.getpid(), zio._format_rows
+
+        def child_fails(fmt, columns, lo, hi):
+            if os.getpid() != parent:
+                if failure == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child failed")
+            return format_rows(fmt, columns, lo, hi)
+
+        monkeypatch.setattr(zio, "_format_rows", child_fails)
+        header, fmt, *columns = split_table(n)
+        zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+        assert len(forced_split) == 1
+        assert (tmp_path / "t.csv").read_bytes() == expected
+        assert no_child_exists()
+
+    @pytest.mark.parametrize("n", [2, 20000])
+    def test_parent_error_leaves_no_child(self, tmp_path, monkeypatch, forced_split, n):
+        parent, format_rows = os.getpid(), zio._format_rows
+
+        def parent_fails(fmt, columns, lo, hi):
+            if os.getpid() == parent and lo == 0:
+                raise RuntimeError("parent failed")
+            return format_rows(fmt, columns, lo, hi)
+
+        monkeypatch.setattr(zio, "_format_rows", parent_fails)
+        header, fmt, *columns = split_table(n)
+        with pytest.raises(RuntimeError, match="parent failed"):
+            zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+        assert len(forced_split) == 1
+        assert no_child_exists()
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_one_cpu_is_serial(self, tmp_path, monkeypatch, forced_split):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        header, fmt, *columns = split_table(1000)
+        zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+        assert forced_split == []
+        assert (tmp_path / "t.csv").read_bytes() == reference_bytes(split_table(1000))
+
+    def test_a_second_thread_means_serial(self, tmp_path, forced_split):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(60,))
+        thread.start()
+        try:
+            header, fmt, *columns = split_table(1000)
+            zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+        finally:
+            done.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert forced_split == []
+        assert (tmp_path / "t.csv").read_bytes() == reference_bytes(split_table(1000))
+
+    def test_failed_fork_is_serial(self, tmp_path, monkeypatch, forced_split):
+        def no_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        header, fmt, *columns = split_table(1000)
+        zio._write_csv(tmp_path / "t.csv", header, fmt, *columns)
+        assert (tmp_path / "t.csv").read_bytes() == reference_bytes(split_table(1000))
+        assert no_child_exists()
 
 
 def oracle_read_counts_csv(path, column=None) -> np.ndarray:
