@@ -32,7 +32,6 @@ from .estimation import (
     grid_search_init,
     moment_init_ear1,
     moment_init_gar1_factorial,
-    solve_ef_block,
 )
 from .experiments import (
     BootstrapResult,

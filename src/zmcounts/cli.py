@@ -47,8 +47,8 @@ from .errors import (
 from .estimation import fit
 from .experiments import ExperimentRow, bootstrap_se, run_experiment
 from .filtering import gkf_filter
-from .intensity import simulate_intensity
-from .observation import ModelSpec, zm_sample
+from .intensity import IntensityFamily, simulate_intensity
+from .observation import CountFamily, ModelSpec, zm_sample
 from . import io
 
 EXIT_OK = 0
@@ -59,26 +59,87 @@ EXIT_NONCONVERGED = 4
 
 def _load_config(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise InvalidSpecError(f"cannot read config {path}: {err}") from err
+    if not isinstance(cfg, dict):
+        raise InvalidSpecError(f"config {path} is not a JSON object")
+    return cfg
+
+
+_REQUIRED = object()
+
+
+def _setting(block: dict, key: str, convert, default=_REQUIRED, where: str = ""):
+    """``block[key]`` read through ``convert``, or ``default`` as it is when
+    the key is absent.  A required key that is absent, or a value that
+    ``convert`` rejects with a ``TypeError`` or ``ValueError``, raises
+    :class:`InvalidSpecError` naming the key as ``where + key``."""
+    if key not in block:
+        if default is _REQUIRED:
+            raise InvalidSpecError(f"config lacks {where}{key}")
+        return default
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError) as err:
+        raise InvalidSpecError(f"bad config value {where}{key}={block[key]!r}: {err}") from err
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a JSON object")
+    return value
+
+
+def _objects(value) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise TypeError("not a list of JSON objects")
+    return value
+
+
+def _family(value) -> str:
+    return CountFamily(value).value
+
+
+def _intensity(value) -> str:
+    return IntensityFamily(value).value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _mode(value) -> str:
+    if value not in ("raise", "truncate"):
+        raise ValueError("expected 'raise' or 'truncate'")
+    return value
+
+
+def _model(block: dict, where: str, family=_REQUIRED, intensity=_REQUIRED) -> dict:
+    """The model keys of a config block as keywords of
+    :meth:`ModelSpec.create` and :class:`ExperimentRow`; ``family`` and
+    ``intensity`` are the defaults of the two families."""
+
+    def value(key, convert=float, default=_REQUIRED):
+        return _setting(block, key, convert, default, where)
+
+    return {
+        "family": value("family", _family, family),
+        "intensity_family": value("intensity", _intensity, intensity),
+        "omega": value("omega"), "rho": value("rho"), "beta": value("beta"),
+        "p": value("p", default=1.0), "a": value("a", default=0.0), "c": value("c", int, 1),
+    }
 
 
 def _model_spec(cfg: dict) -> ModelSpec:
-    try:
-        model = cfg["model"]
-        return ModelSpec.create(
-            model["family"],
-            model["intensity"],
-            omega=float(model["omega"]),
-            rho=float(model["rho"]),
-            beta=float(model["beta"]),
-            p=float(model.get("p", 1.0)),
-            a=float(model.get("a", 0.0)),
-            c=int(model.get("c", 1)),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise InvalidSpecError(f"bad model config: {err}") from err
+    return ModelSpec.create(**_model(_setting(cfg, "model", _object), "model."))
+
+
+def _seed(args, cfg: dict, default=None):
+    """The ``--seed`` flag, else the config's seed, else ``default``."""
+    return args.seed if args.seed is not None else _setting(cfg, "seed", int, default)
 
 
 def _outdir(args) -> Path:
@@ -90,24 +151,22 @@ def _outdir(args) -> Path:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     spec = _model_spec(cfg)
-    n = int(cfg.get("n", 0))
+    n = _setting(cfg, "n", int, 0)
     if n < 1:
         raise InvalidSpecError("config must set a positive n")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = _seed(args, cfg)
     if seed is None:
         raise InvalidSpecError("a seed is required for simulation")
-    rng = np.random.default_rng(int(seed))
+    on_infeasible = _setting(cfg, "on_infeasible", _mode, "raise")
+    rng = np.random.default_rng(seed)
     out = _outdir(args)
     lam = simulate_intensity(spec.intensity, n, rng)
-    y = zm_sample(
-        spec.family, lam, spec.params, rng,
-        on_infeasible=cfg.get("on_infeasible", "raise"),
-    )
-    if cfg.get("write_intensity", True):
+    y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible=on_infeasible)
+    if _setting(cfg, "write_intensity", _flag, True):
         io.write_counts_csv(out / "counts.csv", y, intensities=lam)
     else:
         io.write_counts_csv(out / "counts.csv", y)
-    io.write_metadata(out / "metadata.json", "simulate", cfg, int(seed))
+    io.write_metadata(out / "metadata.json", "simulate", cfg, seed)
     print(f"wrote {out / 'counts.csv'} (n={n})")
     return EXIT_OK
 
@@ -126,30 +185,30 @@ def cmd_filter(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
-    model = cfg.get("model", {})
-    fit_cfg = cfg.get("fit", {})
-    y = io.read_counts_csv(args.data, column=args.column)
+    model = _setting(cfg, "model", _object, {})
+    fit_cfg = _setting(cfg, "fit", _object, {})
+    boot = _setting(cfg, "bootstrap", _object, {})
     options = {
-        "tol": float(fit_cfg.get("tol", 1e-6)),
-        "max_iter": int(fit_cfg.get("max_iter", 500)),
+        "tol": _setting(fit_cfg, "tol", float, 1e-6, "fit."),
+        "max_iter": _setting(fit_cfg, "max_iter", int, 500, "fit."),
     }
-    result = fit(
-        y, model.get("family", "zmp"), model.get("intensity", "gar1"),
-        c=int(model.get("c", 1)), **options,
-    )
+    family = _setting(model, "family", _family, "zmp", "model.")
+    ifam = _setting(model, "intensity", _intensity, "gar1", "model.")
+    c = _setting(model, "c", int, 1, "model.")
+    reps = _setting(boot, "reps", int, 0, "bootstrap.")
+    # the seed is recorded only when a bootstrap draws from it
+    seed = _seed(args, cfg, 0) if reps else None
+    y = io.read_counts_csv(args.data, column=args.column)
+    result = fit(y, family, ifam, c=c, **options)
     out = _outdir(args)
-    se = seed = None  # the seed is recorded only when a bootstrap draws from it
-    boot = cfg.get("bootstrap", {})
-    reps = int(boot.get("reps", 0))
+    se = None
     if reps:
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         rng = np.random.default_rng(seed)
         se = bootstrap_se(
             result.spec, n=len(y), reps=reps, rng=rng, jobs=args.jobs, **options
         ).se
     io.write_fit_json(out / "fit.json", result, se=se)
-    filt = gkf_filter(y, result.spec)
-    io.write_filtered_csv(out / "filtered.csv", y, filt)
+    io.write_filtered_csv(out / "filtered.csv", y, result.filter_result)
     io.write_residuals_csv(out / "residuals.csv", result.residuals)
     io.write_metadata(out / "metadata.json", "fit", cfg, seed)
     ph = result.params_hat
@@ -176,7 +235,7 @@ def cmd_diagnose(args) -> int:
         )
     except (TypeError, ValueError) as err:
         raise InvalidSpecError(f"bad model in fit file {args.fit}: {err}") from err
-    max_lag = int(cfg.get("max_lag", 20))
+    max_lag = _setting(cfg, "max_lag", int, 20)
     out = _outdir(args)
     filt = gkf_filter(y, spec)
     if spec.params.omega < 0.0:
@@ -208,33 +267,42 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _experiment_rows(exp: dict) -> list[ExperimentRow]:
+    """Every row of the experiment block, each with a valid model."""
+    n = _setting(exp, "n", int, 1000, "experiment.")
+    replicates = _setting(exp, "replicates", int, 200, "experiment.")
+    on_infeasible = _setting(exp, "on_infeasible", _mode, "raise", "experiment.")
+    rows = []
+    for i, row_cfg in enumerate(_setting(exp, "rows", _objects, [], "experiment.")):
+        where = f"experiment.rows[{i}]."
+        row = ExperimentRow(
+            **_model(row_cfg, where, "zmp", "gar1"),
+            n=_setting(row_cfg, "n", int, n, where),
+            replicates=_setting(row_cfg, "replicates", int, replicates, where),
+            on_infeasible=_setting(row_cfg, "on_infeasible", _mode, on_infeasible, where),
+        )
+        try:
+            row.spec()
+        except InvalidSpecError as err:
+            raise InvalidSpecError(f"experiment.rows[{i}]: {err}") from err
+        rows.append(row)
+    if not rows:
+        raise InvalidSpecError("config must contain an experiment block with rows")
+    return rows
+
+
 def cmd_reproduce(args) -> int:
     cfg = _load_config(args.config)
-    exp = cfg.get("experiment")
-    if not exp or not exp.get("rows"):
-        raise InvalidSpecError("config must contain an experiment block with rows")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    rows = _experiment_rows(_setting(cfg, "experiment", _object, {}))
+    seed = _seed(args, cfg)
     if seed is None:
         raise InvalidSpecError("a seed is required for reproduction runs")
     out = _outdir(args)
     results = []
-    for row_cfg in exp["rows"]:
-        row = ExperimentRow(
-            family=row_cfg.get("family", "zmp"),
-            intensity_family=row_cfg.get("intensity", "gar1"),
-            omega=float(row_cfg["omega"]),
-            rho=float(row_cfg["rho"]),
-            beta=float(row_cfg["beta"]),
-            p=float(row_cfg.get("p", 1.0)),
-            a=float(row_cfg.get("a", 0.0)),
-            c=int(row_cfg.get("c", 1)),
-            n=int(row_cfg.get("n", exp.get("n", 1000))),
-            replicates=int(row_cfg.get("replicates", exp.get("replicates", 200))),
-            on_infeasible=row_cfg.get("on_infeasible", exp.get("on_infeasible", "raise")),
-        )
-        res = run_experiment(row, master_seed=int(seed), jobs=args.jobs)
+    for row in rows:
+        res = run_experiment(row, master_seed=seed, jobs=args.jobs)
         if res.completed == 0:
-            print(f"row {row_cfg}: all replicates failed", file=sys.stderr)
+            print(f"row {row}: all replicates failed", file=sys.stderr)
             return EXIT_NONCONVERGED
         results.append(res)
         print(
@@ -244,7 +312,7 @@ def cmd_reproduce(args) -> int:
             + " ".join(f"{k}={res.mean[k]:.4f}" for k in ("rho", "omega", "beta", "p"))
         )
     io.write_experiment_csv(out / "experiment.csv", results)
-    io.write_metadata(out / "metadata.json", "reproduce", cfg, int(seed))
+    io.write_metadata(out / "metadata.json", "reproduce", cfg, seed)
     return EXIT_OK
 
 

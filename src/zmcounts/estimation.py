@@ -19,19 +19,23 @@ call gives the coefficients with their Jacobian.
 ``(beta, p)`` are recovered as ``beta = mu/sigma2``, ``p = mu*beta``.
 Moment-based initializers (closed form where available, grid search
 otherwise) provide starting points.
+
+:func:`fit` is the one entry point: it takes a start, runs the solve on
+:class:`_FitCore`'s objective and returns the estimates with the filter pass
+and residuals at them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .errors import InfeasibleInitError
-from .filtering import forward_adjoint, forward_pass, gkf_filter
+from .filtering import FilterResult, forward_adjoint, forward_pass, gkf_filter
 from .filtering import variance_path  # noqa: F401  (looked up here by perfbench/tracing.py)
 from .intensity import IntensityFamily
 from .observation import (
@@ -88,7 +92,8 @@ class SampleMoments:
 
 @dataclass
 class FitResult:
-    """Outcome of the iterative filter/estimate loop."""
+    """Outcome of :func:`fit`: the estimates, how the solve ended, and the
+    filter pass and residuals at the estimates."""
 
     params_hat: Params
     family: CountFamily
@@ -96,13 +101,17 @@ class FitResult:
     iterations: int
     n_eval: int
     converged: bool
-    trace: list[Params]
-    filtered: np.ndarray
+    filter_result: FilterResult
     residuals: np.ndarray
     grad_norm: float
     stop: str
     se: dict | None = None
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def filtered(self) -> np.ndarray:
+        """The filtered intensity path at the estimates."""
+        return self.filter_result.lambda_filtered
 
     @property
     def spec(self) -> ModelSpec:
@@ -139,32 +148,7 @@ class FitResult:
             "grad_norm": self.grad_norm,
             "stop": self.stop,
             "notes": self.notes,
-            "trace": [
-                {"omega": t.omega, "rho": t.rho, "beta": t.beta, "p": t.p, "a": t.a}
-                for t in self.trace
-            ],
         }
-
-
-@dataclass(frozen=True)
-class _Solve:
-    """One bounded solve: the estimates (``a`` is the dispersion the solve
-    ended at, the start's for ZMP), whether the fit converged, its iteration
-    and objective-and-gradient evaluation counts, and why it stopped:
-    ``gradient`` (the projected gradient test), ``objective`` (the
-    relative-reduction test), ``max_iter`` or ``abnormal`` (the line search
-    failed)."""
-
-    w: float
-    mu: float
-    rho: float
-    sigma2: float
-    a: float
-    converged: bool
-    n_iter: int
-    n_eval: int
-    grad_norm: float
-    stop: str
 
 
 def _stop_reason(res) -> str:
@@ -174,11 +158,6 @@ def _stop_reason(res) -> str:
     if res.status == 0:
         return "objective" if "REDUCTION" in res.message else "gradient"
     return "abnormal"
-
-
-def _theta_params(omega, mu, rho, sigma2, a, c) -> Params:
-    beta = mu / sigma2
-    return Params(omega=omega, rho=rho, beta=beta, p=mu * beta, a=a, c=c)
 
 
 def moment_init_ear1(moments: SampleMoments, c: int = 1) -> Params:
@@ -314,21 +293,21 @@ def default_init(
 
 
 class _FitCore:
-    """Engine of the fit.
+    """The objective of :func:`fit`.
 
     Works on the innovation quasi-deviance Q = mean(h^2/J + log J) of the
     self-consistently filtered series.  (mu, rho, sigma2) and, for ZMNB, the
     dispersion a minimize Q jointly (sigma2 is tied to mu^2 under an
     exponential marginal), with omega solved from the exact marginal
     zero-mass identity at every trial point.  One bounded L-BFGS-B solve
-    (:meth:`run`) finds the minimum for every family; its stationarity
+    (:func:`fit`) finds the minimum for every family; its stationarity
     conditions, like the zero-mass tie, are martingale estimating functions,
     so the root keeps the unbiasedness structure of the published system
     while being fully identified.
 
     ``a`` is the dispersion at which :meth:`deviance` and the tie are
     evaluated: fixed for ZMP, the start of the solve for ZMNB, whose
-    :meth:`objective` sets it from each trial point.  ``per_step`` selects
+    :meth:`point` sets it from each trial point.  ``per_step`` selects
     the ZMP variance weights for the whole fit (see :meth:`deviance`), so
     that the objective keeps one form at every trial point.
     """
@@ -521,24 +500,29 @@ class _FitCore:
             lambda x: self.zeros_resid(x, mu, sigma2, self.a), _OMEGA_MIN, _OMEGA_MAX, xtol=1e-12
         ))
 
+    def point(self, x):
+        """(mu, rho, sigma2) of the solve vector x = (mu, rho[, sigma2][, a]):
+        sigma2 = mu^2 under EAR1, and for ZMNB the last entry is the
+        dispersion, which becomes ``self.a``."""
+        if self.family == CountFamily.ZMNB:
+            x, self.a = x[:-1], float(x[-1])
+        if self.ear1:
+            mu, rho = x
+            return mu, rho, mu**2
+        mu, rho, sigma2 = x
+        return mu, rho, sigma2
+
     def objective(self, x):
         """Penalized deviance over (mu, rho[, sigma2][, a]) with omega tied
         to the zero-mass identity, and its gradient in x; fully joint, so no
         alternation path-dependence.  The gradient is the chain rule through
         the tie (:meth:`tie_slope`) and the deviance (:meth:`deviance`)."""
-        zmnb = self.family == CountFamily.ZMNB
-        if zmnb:
-            x, self.a = x[:-1], float(x[-1])
-        if self.ear1:
-            mu, rho = x
-            sigma2 = mu**2
-        else:
-            mu, rho, sigma2 = x
+        mu, rho, sigma2 = self.point(x)
         if not (mu > 0 and sigma2 > 0 and 0.0 <= rho <= _RHO_MAX):
-            return _BIG, np.zeros(len(x) + zmnb)
+            return _BIG, np.zeros(len(x))
         w = self.tied_omega(mu, sigma2)
         if w is None:
-            return _BIG, np.zeros(len(x) + zmnb)
+            return _BIG, np.zeros(len(x))
         slopes = self.tie_slope(w, mu, sigma2)
         w_mu, w_s2 = slopes[:2]
         # rows: d(omega, mu, rho, sigma2) along each component of x
@@ -546,159 +530,9 @@ class _FitCore:
             rows = [[w_mu + 2.0 * mu * w_s2, 1.0, 0.0, 2.0 * mu], [0.0, 0.0, 1.0, 0.0]]
         else:
             rows = [[w_mu, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [w_s2, 0.0, 0.0, 1.0]]
-        if zmnb:  # a fifth column, and a last row for a itself
+        if self.family == CountFamily.ZMNB:  # a fifth column, and a last row for a itself
             rows = [row + [0.0] for row in rows] + [[slopes[2], 0.0, 0.0, 0.0, 1.0]]
         return self.deviance(w, mu, rho, sigma2, np.array(rows))
-
-    def run(self, w0, mu0, rho0, sigma20, tol, max_iter) -> _Solve:
-        """Bounded quasi-Newton minimization of :meth:`objective`.
-
-        L-BFGS-B on the objective's analytic gradient, started from the point
-        clipped into the bounds (for ZMNB, a starts at ``self.a`` and is
-        bounded to [``_A_MIN``, ``_A_MAX``]), stops once the projected
-        gradient's max-norm is at most ``tol`` (or the objective's relative
-        decrease falls below 1e-15, after which it restarts once from where
-        it stopped) and gives up after ``max_iter`` iterations in all.  It
-        solves in the scaled variables u = x/s, s = max(|x0|, 1) per
-        component of the clipped start, so that mu and
-        sigma2 of a few units and rho below one move on comparable scales;
-        each trial u*s is clipped into the raw bounds, where rounding could
-        otherwise step past them.  Since s >= 1, the gradient test in u
-        implies ``grad_norm <= tol`` in raw units.  ``grad_norm`` is the
-        max-norm of the final raw gradient with the components zeroed where
-        an active bound blocks descent; ``w0`` stands in for omega if the tie
-        fails at the solution.
-
-        The fit converged if the solve stopped on the gradient test, the tie
-        is evaluable at the solution and, for ZMNB, a and the tied omega lie
-        strictly inside their bounds.
-        """
-        zmnb = self.family == CountFamily.ZMNB
-        k = 2 if self.ear1 else 3
-        lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k] + [_A_MIN] * zmnb)
-        upper = np.array([np.inf, _RHO_MAX, np.inf][:k] + [_A_MAX] * zmnb)
-        x0 = np.array([mu0, rho0, sigma20][:k] + [self.a] * zmnb)
-        scale = np.maximum(np.abs(np.clip(x0, lower, upper)), 1.0)
-
-        def scaled(u):
-            value, grad = self.objective(np.clip(u * scale, lower, upper))
-            return value, grad * scale
-
-        def solve(start, iters):
-            return minimize(
-                scaled, x0=start, jac=True, method="L-BFGS-B",
-                bounds=list(zip(lower / scale, upper / scale)),
-                options={"gtol": tol, "maxiter": iters, "ftol": 1e-15},
-            )
-
-        res = solve(x0 / scale, max_iter)
-        n_iter, n_eval = res.nit, res.nfev
-        if _stop_reason(res) == "objective" and n_iter < max_iter:
-            # a step that gained nothing stops the solve without showing
-            # stationarity; one restart drops the curvature memory that chose it
-            res = solve(res.x, max_iter - n_iter)
-            n_iter, n_eval = n_iter + res.nit, n_eval + res.nfev
-        g = res.jac / scale
-        blocked = ((res.x <= lower / scale) & (g > 0)) | ((res.x >= upper / scale) & (g < 0))
-        grad_norm = float(np.max(np.abs(np.where(blocked, 0.0, g))))
-        x = np.clip(res.x * scale, lower, upper)
-        if zmnb:
-            x, self.a = x[:-1], float(x[-1])
-        if self.ear1:
-            mu, rho = x
-            sigma2 = float(mu**2)
-        else:
-            mu, rho, sigma2 = x
-        w = self.tied_omega(mu, sigma2)
-        stop = _stop_reason(res)
-        converged = (
-            stop == "gradient" and w is not None and res.fun < _BIG
-            and (not zmnb or (_A_MIN < self.a < _A_MAX and _OMEGA_MIN < w < _OMEGA_MAX))
-        )
-        if w is None:
-            w = w0
-        return _Solve(
-            float(w), float(mu), float(rho), float(sigma2), self.a, converged, int(n_iter),
-            int(n_eval), grad_norm, stop,
-        )
-
-
-def solve_ef_block(
-    series,
-    spec: ModelSpec,
-    init: Params | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> FitResult:
-    """Run the estimating-function fit to a joint fixed point and return
-    estimates, trace and the final filtered path.
-
-    Filtering and condition-solving are interleaved inside :class:`_FitCore`
-    (the filter is rebuilt for every visited parameter point), and one
-    bounded quasi-Newton solve fits every parameter, the ZMNB dispersion
-    included.  ``spec`` fixes the families and the dispersion form index; its
-    parameter values serve as the starting point unless ``init`` is given.
-    ``tol`` bounds the max-norm of the projected gradient at which the solve
-    stops, and ``max_iter`` caps its iterations.  ``notes`` name a bound at
-    which omega's zero-mass tie, rho or the dispersion a ended.
-    """
-    from .diagnostics import pearson_residuals, truncated_residuals
-
-    y = as_count_series(series)
-    yf = y.astype(float)
-    p0hat = float(np.mean(y == 0))
-    family = spec.family
-    ifam = spec.intensity.family
-    ear1 = ifam == IntensityFamily.EAR1
-    cur = init if init is not None else spec.params
-    if family == CountFamily.ZMNB and cur.a <= 0:
-        cur = replace(cur, a=_A_MIN)
-    notes: list[str] = []
-    trace = [cur]
-    w, mu, rho = cur.omega, cur.mu_lambda, cur.rho
-    sigma2 = cur.sigma2_lambda
-    core = _FitCore(yf, family, ear1, cur.a, c=cur.c, p0hat=p0hat)
-    if family == CountFamily.ZMP:
-        # ZMP fits whose zero mass calls for inflation at the start weight
-        # each step by its predictive variance.  Under deflation that weight
-        # biases the clipped law's estimates, so those fits keep the filter's
-        # stationary weights, as ZMNB fits do: there the plug-in predictive
-        # variance can be gamed by inflating the predicted level.
-        w_start = core.tied_omega(mu, sigma2)
-        core.per_step = (cur.omega if w_start is None else w_start) >= 0.0
-    sol = core.run(w, mu, rho, sigma2, tol, max_iter)
-    w, mu, rho, sigma2, a = sol.w, sol.mu, sol.rho, sol.sigma2, sol.a
-    if w in (_OMEGA_MIN, _OMEGA_MAX):
-        notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
-    if rho in (0.0, _RHO_MAX):
-        notes.append(f"rho ended at the bound {rho:g} of its solve")
-    if family == CountFamily.ZMNB and a in (_A_MIN, _A_MAX):
-        notes.append(f"a ended at the bound {a:g} of its solve")
-    trace.append(_theta_params(w, mu, rho, sigma2, a, cur.c))
-    cur = trace[-1]
-    if ear1:  # sigma2 = mu^2 gives p = 1 only up to rounding
-        cur = replace(cur, p=1.0)
-    trace.append(cur)
-    spec_hat = spec.with_params(cur)
-    filt = gkf_filter(y, spec_hat)
-    if cur.omega < 0.0:
-        residuals = truncated_residuals(y, filt.lambda_filtered, cur, family)
-    else:
-        residuals = pearson_residuals(y, filt.lambda_filtered, cur, family)
-    return FitResult(
-        params_hat=cur,
-        family=family,
-        intensity_family=ifam,
-        iterations=sol.n_iter,
-        n_eval=sol.n_eval,
-        converged=sol.converged,
-        trace=trace,
-        filtered=filt.lambda_filtered,
-        residuals=residuals,
-        grad_norm=sol.grad_norm,
-        stop=sol.stop,
-        notes=notes,
-    )
 
 
 def fit(
@@ -710,14 +544,118 @@ def fit(
     tol: float = 1e-6,
     max_iter: int = 500,
 ) -> FitResult:
-    """Initializer chain plus :func:`solve_ef_block` in one call."""
+    """Fit a model to a count series by the estimating-function solve.
+
+    The start is ``init``, or :func:`default_init` of the series when none is
+    given; it must make a valid :class:`ModelSpec` of the two families (so a
+    ZMP start has a = 0 and a ZMNB start a > 0), else
+    :class:`~zmcounts.errors.InvalidSpecError` is raised.  One bounded
+    L-BFGS-B solve of :meth:`_FitCore.objective` fits every parameter, the
+    ZMNB dispersion included, on the objective's analytic gradient.  It
+    starts from the start clipped into the bounds (a is bounded to
+    [``_A_MIN``, ``_A_MAX``]), stops once the projected gradient's max-norm
+    is at most ``tol`` (or the objective's relative decrease falls below
+    1e-15, after which it restarts once from where it stopped) and gives up
+    after ``max_iter`` iterations in all.  It solves in the scaled variables
+    u = x/s, s = max(|x0|, 1) per component of the clipped start, so that mu
+    and sigma2 of a few units and rho below one move on comparable scales;
+    each trial u*s is clipped into the raw bounds, where rounding could
+    otherwise step past them.  Since s >= 1, the gradient test in u implies
+    ``grad_norm <= tol`` in raw units.  ``grad_norm`` is the max-norm of the
+    final raw gradient with the components zeroed where an active bound
+    blocks descent.
+
+    The fit converged if the solve stopped on the gradient test, the
+    zero-mass tie is evaluable at the solution (the start's omega stands in
+    where it is not) and, for ZMNB, a and the tied omega lie strictly inside
+    their bounds.  ``notes`` name a bound at which omega's tie, rho or a
+    ended.  The series is filtered once at the estimates, and the residuals
+    are those of that filtered path.
+    """
+    from .diagnostics import pearson_residuals, truncated_residuals
+
     family = CountFamily(family)
     ifam = IntensityFamily(intensity_family)
     y = as_count_series(series)
     if init is None:
         init = default_init(y, family, ifam, c=c)
-    template = ModelSpec.create(
+    spec = ModelSpec.create(
         family, ifam, omega=init.omega, rho=init.rho, beta=init.beta,
         p=init.p, a=init.a, c=init.c,
     )
-    return solve_ef_block(y, template, init=None, tol=tol, max_iter=max_iter)
+    zmnb = family == CountFamily.ZMNB
+    ear1 = ifam == IntensityFamily.EAR1
+    mu0, sigma20 = init.mu_lambda, init.sigma2_lambda
+    core = _FitCore(y.astype(float), family, ear1, init.a, c=init.c, p0hat=float(np.mean(y == 0)))
+    if family == CountFamily.ZMP:
+        # ZMP fits whose zero mass calls for inflation at the start weight
+        # each step by its predictive variance.  Under deflation that weight
+        # biases the clipped law's estimates, so those fits keep the filter's
+        # stationary weights, as ZMNB fits do: there the plug-in predictive
+        # variance can be gamed by inflating the predicted level.
+        w_start = core.tied_omega(mu0, sigma20)
+        core.per_step = (init.omega if w_start is None else w_start) >= 0.0
+
+    k = 2 if ear1 else 3
+    lower = np.array([_MU_MIN, 0.0, _SIGMA2_MIN][:k] + [_A_MIN] * zmnb)
+    upper = np.array([np.inf, _RHO_MAX, np.inf][:k] + [_A_MAX] * zmnb)
+    x0 = np.array([mu0, init.rho, sigma20][:k] + [init.a] * zmnb)
+    scale = np.maximum(np.abs(np.clip(x0, lower, upper)), 1.0)
+
+    def scaled(u):
+        value, grad = core.objective(np.clip(u * scale, lower, upper))
+        return value, grad * scale
+
+    def solve(start, iters):
+        return minimize(
+            scaled, x0=start, jac=True, method="L-BFGS-B",
+            bounds=list(zip(lower / scale, upper / scale)),
+            options={"gtol": tol, "maxiter": iters, "ftol": 1e-15},
+        )
+
+    res = solve(x0 / scale, max_iter)
+    n_iter, n_eval = res.nit, res.nfev
+    if _stop_reason(res) == "objective" and n_iter < max_iter:
+        # a step that gained nothing stops the solve without showing
+        # stationarity; one restart drops the curvature memory that chose it
+        res = solve(res.x, max_iter - n_iter)
+        n_iter, n_eval = n_iter + res.nit, n_eval + res.nfev
+    stop = _stop_reason(res)
+    g = res.jac / scale
+    blocked = ((res.x <= lower / scale) & (g > 0)) | ((res.x >= upper / scale) & (g < 0))
+    grad_norm = float(np.max(np.abs(np.where(blocked, 0.0, g))))
+    mu, rho, sigma2 = map(float, core.point(np.clip(res.x * scale, lower, upper)))
+    w = core.tied_omega(mu, sigma2)
+    converged = (
+        stop == "gradient" and w is not None and res.fun < _BIG
+        and (not zmnb or (_A_MIN < core.a < _A_MAX and _OMEGA_MIN < w < _OMEGA_MAX))
+    )
+    w = float(init.omega if w is None else w)
+
+    notes: list[str] = []
+    if w in (_OMEGA_MIN, _OMEGA_MAX):
+        notes.append(f"omega ended at the bound {w:g} of its zero-mass tie")
+    if rho in (0.0, _RHO_MAX):
+        notes.append(f"rho ended at the bound {rho:g} of its solve")
+    if zmnb and core.a in (_A_MIN, _A_MAX):
+        notes.append(f"a ended at the bound {core.a:g} of its solve")
+    beta = mu / sigma2
+    # sigma2 = mu^2 gives p = 1 only up to rounding
+    params = Params(
+        omega=w, rho=rho, beta=beta, p=1.0 if ear1 else mu * beta, a=core.a, c=init.c
+    )
+    filtered = gkf_filter(y, spec.with_params(params))
+    residual_fn = truncated_residuals if w < 0.0 else pearson_residuals
+    return FitResult(
+        params_hat=params,
+        family=family,
+        intensity_family=ifam,
+        iterations=int(n_iter),
+        n_eval=int(n_eval),
+        converged=converged,
+        filter_result=filtered,
+        residuals=residual_fn(y, filtered.lambda_filtered, params, family),
+        grad_norm=grad_norm,
+        stop=stop,
+        notes=notes,
+    )

@@ -81,19 +81,6 @@ class FilterResult:
     innovation_var: np.ndarray
     clamped: np.ndarray
 
-    def state(self, t: int) -> FilterState:
-        return FilterState(float(self.lambda_filtered[t]), float(self.error_var[t]))
-
-    def step(self, t: int) -> FilterStep:
-        return FilterStep(
-            prediction=float(self.prediction[t]),
-            pred_var=float(self.pred_var[t]),
-            gain=float(self.gain[t]),
-            innovation=float(self.innovation[t]),
-            innovation_var=float(self.innovation_var[t]),
-            clamped=bool(self.clamped[t]),
-        )
-
     def __len__(self) -> int:
         return len(self.lambda_filtered)
 

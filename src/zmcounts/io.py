@@ -15,12 +15,13 @@ of its non-blank lines would.
 
 A table of at least ``_SPLIT_ROWS`` rows is formatted on two CPUs when the
 process may run on two or more and has no other thread: a forked child
-formats rows ``[n//2, n)`` and sends them through a pipe while the parent
-formats the header and rows ``[0, n//2)``, then writes the file with one
-write.  Each process slices the columns before converting them, so neither
-touches the other's Python objects.  The bytes are those of one process; if
-the fork fails or the child does not exit 0, the parent formats the back half
-itself, so a child's failure never fails a write.
+formats rows ``[n//2, n)`` and sends their bytes through a pipe while the
+parent formats and encodes the header and rows ``[0, n//2)``, then writes
+the joined bytes with one write.  Each process slices the columns before
+converting them, so neither touches the other's Python objects.  The bytes
+are those of one process; if the fork fails or the child does not exit 0,
+the parent formats the back half itself, so a child's failure never fails a
+write.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def _can_split(n) -> bool:
     )
 
 
-def _format_split(fmt, columns, n) -> list[str]:
-    """Rows ``[0, n)`` in two parts: the front half formatted here, the back
-    half in a forked child that sends it through a pipe.  If the fork fails
-    or the child does not exit 0, the back half is formatted here; either way
-    the text is that of ``_format_rows(fmt, columns, 0, n)``."""
+def _format_split(fmt, columns, n) -> list[bytes]:
+    """Rows ``[0, n)`` in two parts, encoded: the front half formatted here,
+    the back half in a forked child that sends it through a pipe.  If the
+    fork fails or the child does not exit 0, the back half is formatted here;
+    either way the bytes are those of ``_format_rows(fmt, columns, 0, n)``."""
     mid = n // 2
     rfd, wfd = os.pipe()
     try:
@@ -111,7 +112,7 @@ def _format_split(fmt, columns, n) -> list[str]:
     except OSError:
         os.close(rfd)
         os.close(wfd)
-        return [_format_rows(fmt, columns, 0, n)]
+        return [_format_rows(fmt, columns, 0, n).encode()]
     if pid == 0:  # the child never returns into the caller
         code = 1
         try:
@@ -126,24 +127,28 @@ def _format_split(fmt, columns, n) -> list[str]:
         # closing the read end, also when formatting here raises, lets a
         # child blocked on the pipe fail with EPIPE and exit
         with open(rfd, "rb") as pipe:
-            front = _format_rows(fmt, columns, 0, mid)
+            front = _format_rows(fmt, columns, 0, mid).encode()
             back = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
     if status:
-        return [front, _format_rows(fmt, columns, mid, n)]
-    return [front, back.decode()]
+        back = _format_rows(fmt, columns, mid, n).encode()
+    return [front, back]
 
 
 def _write_csv(path, header, fmt, *columns) -> None:
     """Write the header and one ``fmt`` line per row of the columns with a
-    single write.  Lines end in "\r\n" and no field is quoted, so the bytes
-    are those that ``csv.writer`` writes for these fields.  ``fmt`` is one
-    comma-separated spec per column.  A long table is formatted in two
-    halves on two CPUs when :func:`_can_split` allows; the text is the same."""
+    single write, encoded as UTF-8.  Lines end in "\r\n" and no field is
+    quoted, so the bytes are those that ``csv.writer`` writes for these
+    fields.  ``fmt`` is one comma-separated spec per column.  A long table
+    is formatted in two halves on two CPUs when :func:`_can_split` allows;
+    the bytes are the same."""
     n = min(map(len, columns), default=0)
-    body = _format_split(fmt, columns, n) if _can_split(n) else [_format_rows(fmt, columns, 0, n)]
-    Path(path).write_text("".join([",".join(header) + "\r\n", *body]), newline="")
+    if _can_split(n):
+        body = _format_split(fmt, columns, n)
+    else:
+        body = [_format_rows(fmt, columns, 0, n).encode()]
+    Path(path).write_bytes(b"".join([(",".join(header) + "\r\n").encode(), *body]))
 
 
 def _layout(lines, column, path) -> tuple[int, int]:

@@ -126,6 +126,36 @@ class TestFitCommand:
         assert (out / "filtered.csv").exists()
         assert (out / "residuals.csv").exists()
 
+    def test_filtered_csv_is_that_of_the_filter_command(self, tmp_path, monkeypatch):
+        # the fit's own filter pass at its estimates is the one written, and
+        # the series is filtered once
+        from zmcounts import estimation
+
+        calls = []
+
+        def counted(gkf_filter):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return gkf_filter(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, estimation):
+            monkeypatch.setattr(module, "gkf_filter", counted(module.gkf_filter))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, n=800)
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        data = ["--data", str(out / "counts.csv")]
+        assert main(["fit", "--config", str(cfg), *data, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
+        doc = json.loads((out / "fit.json").read_text())
+        fitted = tmp_path / "fitted.json"
+        write_config(fitted, model={"family": doc["family"], "intensity": doc["intensity_family"],
+                                    **doc["estimates"]})
+        filtered = tmp_path / "filtered"
+        assert main(["filter", "--config", str(fitted), *data, "--out", str(filtered)]) == EXIT_OK
+        assert (out / "filtered.csv").read_bytes() == (filtered / "filtered.csv").read_bytes()
+
     def test_column_selection(self, tmp_path):
         data = tmp_path / "counts.csv"
         with data.open("w", newline="") as fh:
@@ -313,6 +343,38 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", "--config", str(cfg), "--data", str(out / "counts.csv"),
                    "--fit", str(out / "nofit.json"), "--out", str(out)])
         assert rc == EXIT_CONFIG
+
+
+ROW = {"family": "zmp", "intensity": "gar1", "omega": 0.2, "rho": 0.6, "beta": 0.5, "p": 4.0}
+
+
+@pytest.mark.parametrize("command,overrides,key", [
+    ("simulate", {"n": "abc"}, "n"),
+    ("simulate", {"write_intensity": "no"}, "write_intensity"),
+    ("diagnose", {"max_lag": "x"}, "max_lag"),
+    ("fit", {"model": {"family": "zmpx", "intensity": "gar1"}}, "model.family"),
+    ("fit", {"fit": {"tol": "abc"}}, "fit.tol"),
+    ("fit", {"bootstrap": {"reps": "x"}}, "bootstrap.reps"),
+    ("reproduce", {"experiment": {"rows": [{k: v for k, v in ROW.items() if k != "omega"}]}},
+     "experiment.rows[0].omega"),
+    ("reproduce", {"experiment": {"rows": [ROW, {**ROW, "family": "poisson"}]}},
+     "experiment.rows[1].family"),
+])
+def test_malformed_config_is_config_error(tmp_path, monkeypatch, capsys, command, overrides,
+                                          key):
+    # every row of an experiment is checked before its first replicate runs
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("a replicate ran"))
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    data = tmp_path / "counts.csv"
+    write_counts_csv(data, [0, 1, 2, 0, 3, 1, 0, 2])
+    fit_file = tmp_path / "fit.json"
+    fit_file.write_text(json.dumps(FIT_DOC))
+    extra = {"simulate": [], "reproduce": [], "fit": ["--data", str(data)],
+             "diagnose": ["--data", str(data), "--fit", str(fit_file)]}[command]
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 # sha256 of the outputs of one seeded simulate -> filter -> diagnose session

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._numdiff import approx_derivative
 
 from zmcounts import estimation, experiments
-from zmcounts.errors import EstimationError, InfeasibleInitError
+from zmcounts.errors import EstimationError, InfeasibleInitError, InvalidSpecError
 from zmcounts.estimation import (
     SampleMoments,
     _FitCore,
@@ -18,7 +18,6 @@ from zmcounts.estimation import (
     grid_search_init,
     moment_init_ear1,
     moment_init_gar1_factorial,
-    solve_ef_block,
 )
 from zmcounts.experiments import ExperimentRow, bootstrap_se, run_replicate
 from zmcounts.intensity import IntensityFamily, simulate_intensity
@@ -248,11 +247,17 @@ class TestFit:
             assert res.converged
             assert res.notes == [f"rho ended at the bound {bound:g} of its solve"]
 
-    def test_solve_ef_block_uses_spec_start(self):
+    def test_fit_from_a_given_start(self):
         y = simulate_counts(SPEC, 800, 44)
-        res = solve_ef_block(y, SPEC)
+        res = fit(y, "zmp", "gar1", init=SPEC.params)
         assert res.converged
-        assert len(res.trace) >= 2
+
+    @pytest.mark.parametrize("family,a", [("zmp", 0.5), ("zmnb", 0.0)])
+    def test_start_with_a_forbidden_dispersion_is_rejected(self, family, a):
+        y = simulate_counts(SPEC, 200, 44)
+        init = Params(omega=0.2, rho=0.8, beta=2.0, p=4.0, a=a)
+        with pytest.raises(InvalidSpecError, match="requires a"):
+            fit(y, family, "gar1", init=init)
 
     def test_consistency_trend(self):
         # mean absolute error shrinks from n=200 to n=1000
@@ -481,8 +486,10 @@ class TestFitEngine:
 
         monkeypatch.setattr(_FitCore, "objective", recorded)
         monkeypatch.setattr(estimation, "minimize", at_lower_bounds_first)
-        core = fit_core(("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), 400, 5, True)
-        core.run(0.2, 5.7, 0.8, 12.0, 1e-6, 50)
+        y = draw_counts(("zmp", "gar1", 0.2, 0.8, 0.5, 4.0, 0.0), 400, 5)
+        init = Params(omega=0.2, rho=0.8, beta=0.5, p=2.85)
+        assert init.mu_lambda == 5.7
+        fit(y, "zmp", "gar1", init=init, max_iter=50)
         assert seen[0].tolist() == [estimation._MU_MIN, 0.0, estimation._SIGMA2_MIN]
 
 
@@ -608,15 +615,21 @@ class TestDeflatedFitPieces:
         assert 0.4 < pooled.var() < 1.0
 
 
-def fit_core(model, n, seed, per_step):
-    """A :class:`_FitCore` on a series drawn from ``model`` = (family,
-    intensity, omega, rho, beta, p, a), truncating where omega is infeasible."""
+def draw_counts(model, n, seed):
+    """A series drawn from ``model`` = (family, intensity, omega, rho, beta,
+    p, a), truncating where omega is infeasible."""
     family, ifam, omega, rho, beta, p, a = model
     spec = ModelSpec.create(family, ifam, omega=omega, rho=rho, beta=beta, p=p, a=a)
     rng = np.random.default_rng(seed)
     lam = simulate_intensity(spec.intensity, n, rng)
-    y = zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate").astype(float)
-    core = _FitCore(y, spec.family, ifam == "ear1", a, 1, float(np.mean(y == 0)))
+    return zm_sample(spec.family, lam, spec.params, rng, on_infeasible="truncate")
+
+
+def fit_core(model, n, seed, per_step):
+    """A :class:`_FitCore` on a series :func:`draw_counts` draws from ``model``."""
+    family, ifam, *_, a = model
+    y = draw_counts(model, n, seed).astype(float)
+    core = _FitCore(y, CountFamily(family), ifam == "ear1", a, 1, float(np.mean(y == 0)))
     core.per_step = per_step
     return core
 
